@@ -6,7 +6,7 @@ the program is still running, so the cycle of <x, 0> is finite exactly
 when program x halts on its own code.
 """
 
-from permdec import machine, perm_eval
+from permdec import machine, pair, perm_eval
 from permdec import gadgets as gd
 
 
@@ -24,12 +24,12 @@ def main() -> None:
 
     label, code = gd.halting_fixtures()[0]
     steps = machine.halting_step(code, 5000)
-    cycle, closed = walk_cycle(p, gd.halting_pair(code, 0))
+    cycle, closed = walk_cycle(p, pair(code, 0))
     print(f"halting program {label!r} (code {code}) stops at step {steps}")
     print(f"  its embedded cycle closes: {closed}, length {len(cycle)}")
 
     label, code = gd.looping_fixtures()[0]
-    cycle, closed = walk_cycle(p, gd.halting_pair(code, 0))
+    cycle, closed = walk_cycle(p, pair(code, 0))
     print(f"\nlooping program {label!r} (code {code})")
     print(f"  after {len(cycle)} steps the embedded cycle has not closed")
 

@@ -271,7 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", required=True,
                    help="equivalence JSON describing the cycle partition")
     p.add_argument("-o", "--output", required=True)
-    add_fuel(p)
     p.set_defaults(fn=_cmd_normalize)
 
     p = sub.add_parser("conjugate", help="synthesize a conjugator")
@@ -279,7 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("g")
     p.add_argument("--witness", required=True,
                    help="equivalence JSON for f's cycle partition")
-    p.add_argument("--same-partition", action="store_true", dest="same_partition")
     p.add_argument("--iso", help="permutation JSON mapping f's partition to g's")
     add_fuel(p)
     p.set_defaults(fn=_cmd_conjugate)
@@ -287,7 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gadget", help="run a gadget demonstration")
     p.add_argument("mode", choices=["halting", "oddlength", "interred-cd2cf",
                                     "interred-cf2cd", "conjreduction"])
-    add_fuel(p)
     p.set_defaults(fn=_cmd_gadget)
 
     p = sub.add_parser("dot", help="export a window of the mapping as DOT")

@@ -24,7 +24,7 @@ from .normalform import witness_to_eq
 def conjugator_same_partition(f: PermExpr, g: PermExpr, w: cyc.CycleWitness,
                               eq: Optional[EqExpr] = None) -> PermExpr:
     """h with f = h^-1 g h, given that f and g share the cycle partition
-    decided by w.  Violated preconditions surface as search-cap errors."""
+    decided by w.  A violated precondition surfaces as fuel exhaustion."""
     if eq is None:
         eq = witness_to_eq(w)
     return ConjugatorSamePartition(f, g, eq)
@@ -41,12 +41,6 @@ def conjugator_from_isomorphism(f: PermExpr, g: PermExpr, theta: PermExpr,
     pulled_back = Compose(Inverse(theta), Compose(g, theta))
     h = conjugator_same_partition(f, pulled_back, w, eq=eq)
     return Compose(theta, h)
-
-
-def isomorphism_from_conjugator(h: PermExpr) -> PermExpr:
-    """A conjugator is itself an isomorphism of the two cycle partitions;
-    verify with is_isomorphism_on_window against the cycle equivalences."""
-    return h
 
 
 def conjugate_perm(f: PermExpr, h: PermExpr) -> PermExpr:

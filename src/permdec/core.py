@@ -20,16 +20,23 @@ class PreconditionViolation(Exception):
     """A documented caller obligation was provably not met."""
 
 
-class Fuel:
-    """Budget of predicate probes. budget=None means unbounded.
+DEFAULT_BUDGET = 10_000_000
 
-    The counter is shared: nested searches fed the same Fuel draw from one
-    budget. A Fuel is cheap, single-use state; create one per top-level call.
+
+class Fuel:
+    """Budget of probes, the one ceiling on every search. budget=None means
+    unbounded.
+
+    A probe is one step of a search whose end rests on a caller obligation:
+    an orbit step of a cycle search, a candidate of a block scan.  The
+    counter is shared: nested searches fed the same Fuel draw from one
+    budget.  A Fuel is single-use state; a public entry point called without
+    one makes one at the top, and passes it down to everything it calls.
     """
 
     __slots__ = ("budget", "used")
 
-    def __init__(self, budget: Optional[int] = None):
+    def __init__(self, budget: Optional[int] = DEFAULT_BUDGET):
         if budget is not None and budget < 0:
             raise ValueError("fuel budget must be >= 0")
         self.budget = budget
@@ -47,8 +54,9 @@ class Fuel:
         return True
 
     def spend(self) -> None:
-        if not self.try_spend():
+        if self.budget is not None and self.used >= self.budget:
             raise FuelExhausted(f"probe budget of {self.budget} exhausted")
+        self.used += 1
 
     @property
     def remaining(self) -> Optional[int]:

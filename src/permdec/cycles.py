@@ -7,16 +7,18 @@ kinds of evidence.  Conversions run along two loops:
     min-rep -> unique-rep -> char-value -> min-rep
 
 Only transversal -> decider genuinely searches (it dovetails the orbits of
-all enumerated representatives) and hence consumes fuel.
+all enumerated representatives) and hence consumes fuel.  Every payload
+takes the caller's fuel as an optional last argument, except a
+transversal's, and makes a Fuel() when called without one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable, Optional
 
-from .core import Fuel, FuelExhausted, PreconditionViolation, delta_inv, unpair
-from .equivalence import SCAN_CAP
+from .core import Exhausted, Found, Fuel, delta_inv, unpair
 from .permutation import OrbitCache, PermExpr
 
 DECIDER = "decider"
@@ -46,12 +48,13 @@ def _edges():
     }
 
 
-def _convert_step(w: CycleWitness, target: str, fuel: Fuel) -> CycleWitness:
+def _convert_step(w: CycleWitness, target: str) -> CycleWitness:
     f = w.subject
     if w.kind == DECIDER and target == MIN_REP:
         pi = w.payload
 
         def min_rep(x: int, fu: Optional[Fuel] = None) -> int:
+            fu = fu or Fuel()
             for y in range(x + 1):
                 if pi(y, x, fu):
                     return y
@@ -68,6 +71,7 @@ def _convert_step(w: CycleWitness, target: str, fuel: Fuel) -> CycleWitness:
         chi = w.payload
 
         def min_rep(x: int, fu: Optional[Fuel] = None) -> int:
+            fu = fu or Fuel()
             cx = chi(x, fu)
             for y in range(x + 1):
                 if chi(y, fu) == cx:
@@ -87,23 +91,21 @@ def _convert_step(w: CycleWitness, target: str, fuel: Fuel) -> CycleWitness:
         found: dict[int, int] = {}         # value -> its cycle's representative
         state = {"n": 0}
 
-        def locate(x: int, fu: Optional[Fuel] = None) -> int:
+        def locate(x: int, fu: Fuel) -> int:
             # Dovetail representatives against delta-indexed orbit positions
             # until x shows up; every natural is in some enumerated orbit.
             while x not in found:
+                fu.spend()
                 n = state["n"]
-                if n > SCAN_CAP:
-                    raise PreconditionViolation("transversal dovetail cap hit")
-                if fu is not None:
-                    fu.spend()
                 e, j = unpair(n)
                 if e not in reps:
                     reps[e] = rho(e)
-                found.setdefault(orbits.value(reps[e], delta_inv(j)), reps[e])
+                found.setdefault(orbits.value(reps[e], delta_inv(j), fu), reps[e])
                 state["n"] = n + 1
             return found[x]
 
         def decider(x: int, y: int, fu: Optional[Fuel] = None) -> bool:
+            fu = fu or Fuel()
             return locate(x, fu) == locate(y, fu)
 
         return CycleWitness(DECIDER, decider, f)
@@ -111,11 +113,10 @@ def _convert_step(w: CycleWitness, target: str, fuel: Fuel) -> CycleWitness:
     raise ValueError(f"no single conversion {w.kind} -> {target}")
 
 
-def witness_convert(w: CycleWitness, target: str, fuel: Optional[Fuel] = None) -> CycleWitness:
+def witness_convert(w: CycleWitness, target: str) -> CycleWitness:
     """Convert along the shortest path of single-step conversions."""
     if target not in KINDS:
         raise ValueError(f"unknown witness kind {target!r}")
-    f = fuel if fuel is not None else Fuel.unbounded()
     # breadth-first search over the fixed conversion edges
     frontier = [(w.kind, [])]
     seen = {w.kind}
@@ -124,7 +125,7 @@ def witness_convert(w: CycleWitness, target: str, fuel: Optional[Fuel] = None) -
         if kind == target:
             out = w
             for step_target in path:
-                out = _convert_step(out, step_target, f)
+                out = _convert_step(out, step_target)
             return out
         for nxt in _edges()[kind]:
             if nxt not in seen:
@@ -136,8 +137,6 @@ def witness_convert(w: CycleWitness, target: str, fuel: Optional[Fuel] = None) -
 def reachability_semidecider(f: PermExpr, x: int, x2: int, fuel: Fuel):
     """Search f^k(x) = x2 in xi order; Found(k) proves reachability,
     Exhausted proves nothing."""
-    from .core import Exhausted, Found
-
     orbits = OrbitCache(f)
     probes = 0
     j = 0
@@ -146,64 +145,62 @@ def reachability_semidecider(f: PermExpr, x: int, x2: int, fuel: Fuel):
             return Exhausted(probes)
         probes += 1
         k = delta_inv(j)
-        if orbits.value(x, k) == x2:
+        if orbits.value(x, k, fuel) == x2:
             return Found(k, probes)
         j += 1
 
 
-def decider_one_infinite(f: PermExpr, safety_cap: int = SCAN_CAP) -> CycleWitness:
+def decider_one_infinite(f: PermExpr) -> CycleWitness:
     """Cycle decider valid when f has at most one infinite cycle.
 
     Both orbits are walked forward in lockstep until one revisits the pair
-    {x, y}; under the precondition this always happens.  A violated
-    precondition surfaces as fuel exhaustion or the safety cap, never as a
-    wrong answer.
+    {x, y}, one unit of fuel per step; under the precondition this always
+    happens.  A violated precondition surfaces as fuel exhaustion, never as
+    a wrong answer.
     """
     orbits = OrbitCache(f)
 
     def decider(x: int, y: int, fu: Optional[Fuel] = None) -> bool:
         if x == y:
             return True
-        for i in range(1, safety_cap):
-            if fu is not None:
-                fu.spend()
-            vx = orbits.value(x, i)
-            vy = orbits.value(y, i)
+        fu = fu or Fuel()
+        for i in count(1):
+            fu.spend()
+            vx = orbits.value(x, i, fu)
+            vy = orbits.value(y, i, fu)
             if vx in (x, y) or vy in (x, y):
                 return vx == y or vy == x
-        raise PreconditionViolation(
-            "orbit search cap hit: more than one infinite cycle?")
 
     return CycleWitness(DECIDER, decider, f)
 
 
-def decider_few_infinite(f: PermExpr, reps: list[int],
-                         safety_cap: int = SCAN_CAP) -> CycleWitness:
+def decider_few_infinite(f: PermExpr, reps: list[int]) -> CycleWitness:
     """Cycle decider valid when reps holds exactly one member of every
-    infinite cycle of f.  Each orbit is walked in xi order until it hits
-    itself (finite cycle) or a listed representative (infinite cycle)."""
+    infinite cycle of f.  Each orbit is walked in xi order, one unit of fuel
+    per step, until it hits itself (finite cycle) or a listed representative
+    (infinite cycle); a listed representative lands at once.  A violated
+    precondition surfaces as fuel exhaustion."""
     orbits = OrbitCache(f)
     repset = set(reps)
 
-    def land(x: int, other: int, fu: Optional[Fuel]) -> tuple[str, int]:
+    def land(x: int, other: int, fu: Fuel) -> tuple[str, int]:
+        if x in repset:
+            return ("rep", x)
         targets = {x, other} | repset
-        for j in range(1, safety_cap):
-            if fu is not None:
-                fu.spend()
-            k = delta_inv(j)
-            v = orbits.value(x, k)
+        for j in count(1):
+            fu.spend()
+            v = orbits.value(x, delta_inv(j), fu)
             if v in targets:
                 if v == other:
                     return ("other", v)
                 if v == x:
                     return ("self", v)
                 return ("rep", v)
-        raise PreconditionViolation(
-            "orbit search cap hit: representative list incomplete?")
 
     def decider(x: int, y: int, fu: Optional[Fuel] = None) -> bool:
         if x == y:
             return True
+        fu = fu or Fuel()
         how_x, vx = land(x, y, fu)
         if how_x == "other":
             return True

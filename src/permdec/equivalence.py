@@ -22,10 +22,6 @@ from .core import (
 )
 from . import machine
 
-# Absolute cap on linear scans whose termination rests on caller obligations
-# (e.g. "this block is infinite").  Hitting it means the obligation failed.
-SCAN_CAP = 10_000_000
-
 
 # ---------------------------------------------------------------------------
 # total computable functions N -> N
@@ -135,10 +131,6 @@ class PairRight(FunExpr):
         return unpair(x)[1]
 
 
-def fun_eval(f: FunExpr, x: int) -> int:
-    return f(x)
-
-
 # ---------------------------------------------------------------------------
 # equivalence expressions
 
@@ -227,7 +219,7 @@ class CycleEqOf(EqExpr):
                 w = self.witness
                 if w is None:
                     raise PreconditionViolation("CycleEqOf needs an attached witness")
-                w = cyc.witness_convert(w, cyc.DECIDER, Fuel(SCAN_CAP))
+                w = cyc.witness_convert(w, cyc.DECIDER)
                 self._decider = w.payload
             elif self.strategy == "one_infinite":
                 self._decider = cyc.decider_one_infinite(self.perm).payload
@@ -276,17 +268,6 @@ class CoproductEq(EqExpr):
         if z != z2:
             return False
         return self.family.member(z)._decide(a, b, fuel)
-
-
-class HaltingBlocks(EqExpr):
-    kind = "halting_blocks"
-
-    def __init__(self, variant: str):
-        self.variant = variant
-        self._co = CoproductEq(HaltingFamily(variant))
-
-    def _decide(self, x: int, y: int, fuel: Fuel) -> bool:
-        return self._co._decide(x, y, fuel)
 
 
 class PiXY(EqExpr):
@@ -393,16 +374,15 @@ class BlockDecider:
 
 
 def eq_decide(eq: EqExpr, x: int, y: int, fuel: Optional[Fuel] = None) -> bool:
-    return eq._decide(x, y, fuel if fuel is not None else Fuel.unbounded())
+    return eq._decide(x, y, fuel or Fuel())
 
 
-def block_decider(eq: EqExpr, x: int, fuel: Optional[Fuel] = None) -> BlockDecider:
-    f = fuel if fuel is not None else Fuel.unbounded()
-    return BlockDecider(lambda y: eq._decide(x, y, f), x, eq)
+def block_decider(eq: EqExpr, x: int) -> BlockDecider:
+    return BlockDecider(lambda y: eq._decide(x, y, Fuel()), x, eq)
 
 
 def least_representative(eq: EqExpr, x: int, fuel: Optional[Fuel] = None) -> int:
-    f = fuel if fuel is not None else Fuel.unbounded()
+    f = fuel or Fuel()
     for y in range(x + 1):
         if eq._decide(y, x, f):
             return y
@@ -425,7 +405,7 @@ def nth_block_decider(eq: EqExpr, i: int, fuel: Fuel) -> Union[BlockDecider, Exh
 
 def block_index(eq: EqExpr, x: int, fuel: Optional[Fuel] = None) -> int:
     """Position of x's block in least-representative enumeration order."""
-    f = fuel if fuel is not None else Fuel.unbounded()
+    f = fuel or Fuel()
     r = least_representative(eq, x, f)
     count = 0
     for y in range(r):
@@ -444,7 +424,7 @@ def enumerate_block(eq: EqExpr, i: int, count: int, fuel: Fuel) -> Union[list[in
     while len(out) < count:
         if not fuel.try_spend():
             return Exhausted(fuel.used)
-        if bd(y):
+        if eq._decide(bd.source, y, fuel):
             out.append(y)
         y += 1
     return out
@@ -461,7 +441,7 @@ def coproduct(family: FamilyExpr) -> EqExpr:
 def is_isomorphism_on_window(theta, a: EqExpr, b: EqExpr, window: int,
                              fuel: Optional[Fuel] = None) -> bool:
     from .permutation import perm_eval
-    f = fuel if fuel is not None else Fuel.unbounded()
+    f = fuel or Fuel()
     image = [perm_eval(theta, x, f) for x in range(window)]
     for x in range(window):
         for y in range(x + 1, window):
@@ -480,83 +460,95 @@ class BlockCache:
     Blocks are keyed by their least representative.  A point -> least
     representative memo is filled by least_rep and by the block scans; it is
     sound because the relation is fixed, so a point's least representative
-    never changes, and a point seen once costs no further decides.  All
-    methods are total as long as the requested elements exist; scans that
-    would only terminate under a violated caller obligation stop at SCAN_CAP.
+    never changes, and a point seen once costs no further decides.  Every
+    decide a scan makes costs one unit of the caller's fuel, so a scan that
+    would only end under a violated caller obligation (next_greater on a
+    finite block) raises FuelExhausted.  The public methods make a Fuel()
+    when called without one.
     """
 
-    def __init__(self, eq: EqExpr, fuel: Optional[Fuel] = None):
+    def __init__(self, eq: EqExpr):
         self.eq = eq
-        self.fuel = fuel if fuel is not None else Fuel.unbounded()
         self._members: dict[int, list[int]] = {}
         self._scanned: dict[int, int] = {}  # first natural not yet tested
         self._reps: list[int] = []
         self._rep_of: dict[int, int] = {}   # point -> least representative
 
-    def least_rep(self, x: int) -> int:
+    def least_rep(self, x: int, fuel: Optional[Fuel] = None) -> int:
         r = self._rep_of.get(x)
         if r is None:
-            r = self._find_least_rep(x)
+            r = self._find_least_rep(x, fuel or Fuel())
             self._rep_of[x] = r
         return r
 
-    def _find_least_rep(self, x: int) -> int:
+    def _find_least_rep(self, x: int, fuel: Fuel) -> int:
+        # x's least representative is a known rep <= x, or else the least
+        # point <= x whose own least representative is not known yet
         for r in self._reps:
-            if self.eq._decide(r, x, self.fuel):
-                return r
+            if r <= x:
+                fuel.spend()
+                if self.eq._decide(r, x, fuel):
+                    return r
         for y in range(x + 1):
-            if self.eq._decide(y, x, self.fuel):
-                self._reps.append(y)
-                self._members.setdefault(y, [y])
-                self._scanned.setdefault(y, y + 1)
-                return y
+            if y not in self._rep_of:
+                fuel.spend()
+                if self.eq._decide(y, x, fuel):
+                    self._reps.append(y)
+                    self._members[y] = [y]
+                    self._scanned[y] = y + 1
+                    self._rep_of[y] = y
+                    return y
         raise AssertionError("relation not reflexive")  # pragma: no cover
 
-    def _extend_to(self, lr: int, bound: int) -> None:
+    def _extend_to(self, lr: int, bound: int, fuel: Fuel) -> None:
         mem = self._members[lr]
-        start = self._scanned[lr]
-        for y in range(start, bound + 1):
-            if self.eq._decide(lr, y, self.fuel):
-                mem.append(y)
-                self._rep_of[y] = lr
-        self._scanned[lr] = max(start, bound + 1)
+        y = self._scanned[lr]
+        try:
+            while y <= bound:
+                fuel.spend()
+                if self.eq._decide(lr, y, fuel):
+                    mem.append(y)
+                    self._rep_of[y] = lr
+                y += 1
+        finally:
+            self._scanned[lr] = y
 
-    def members_le(self, x: int) -> list[int]:
+    def members_le(self, x: int, fuel: Optional[Fuel] = None) -> list[int]:
         """Sorted members of x's block that are <= x."""
-        lr = self.least_rep(x)
-        self._extend_to(lr, x)
+        fuel = fuel or Fuel()
+        lr = self.least_rep(x, fuel)
+        self._extend_to(lr, x, fuel)
         mem = self._members[lr]
         return mem[: bisect.bisect_right(mem, x)]
 
-    def next_greater(self, x: int) -> int:
+    def next_greater(self, x: int, fuel: Optional[Fuel] = None) -> int:
         """Least block member strictly above x; the caller must know one exists."""
-        lr = self.least_rep(x)
-        self._extend_to(lr, x)
+        fuel = fuel or Fuel()
+        lr = self.least_rep(x, fuel)
+        self._extend_to(lr, x, fuel)
         mem = self._members[lr]
         idx = bisect.bisect_right(mem, x)
         if idx < len(mem):
             return mem[idx]
         y = self._scanned[lr]
-        while y <= SCAN_CAP:
-            if self.eq._decide(lr, y, self.fuel):
+        while True:
+            fuel.spend()
+            if self.eq._decide(lr, y, fuel):
                 mem.append(y)
                 self._rep_of[y] = lr
                 self._scanned[lr] = y + 1
                 return y
             y += 1
-        self._scanned[lr] = y
-        raise PreconditionViolation(
-            "no greater block member found below the scan cap")
 
-    def member_index(self, x: int) -> int:
+    def member_index(self, x: int, fuel: Optional[Fuel] = None) -> int:
         """Index of x in the increasing enumeration of its block."""
-        return len(self.members_le(x)) - 1
+        return len(self.members_le(x, fuel)) - 1
 
-    def nth_member(self, lr: int, j: int) -> int:
+    def nth_member(self, lr: int, j: int, fuel: Optional[Fuel] = None) -> int:
         """j-th member (0-based, increasing) of the block with least rep lr."""
-        self.least_rep(lr)
+        fuel = fuel or Fuel()
+        self.least_rep(lr, fuel)
         mem = self._members[lr]
         while len(mem) <= j:
-            self.next_greater(mem[-1])
-            mem = self._members[lr]
+            self.next_greater(mem[-1], fuel)
         return mem[j]

@@ -15,13 +15,12 @@ from .core import Fuel, pack3, pair, unpack3, unpair
 from . import machine
 from .equivalence import (
     BlockCache,
+    CoproductEq,
+    CycleEqOf,
     EqExpr,
     FamilyExpr,
-    HaltingBlocks,
     HaltingFamily,
-    OpaqueEq,
     PiXYFamily,
-    eq_decide,
 )
 from .permutation import (
     CoproductPerm,
@@ -30,7 +29,7 @@ from .permutation import (
     PermExpr,
     perm_eval,
 )
-from .normalform import RhoClosure, RhoExpr
+from .normalform import RhoClosure, RhoExpr, witness_to_eq
 from . import cycles as cyc
 
 
@@ -43,7 +42,7 @@ def halting_family(variant: str = "cf") -> FamilyExpr:
 
 
 def halting_equivalence(variant: str = "cf") -> EqExpr:
-    return HaltingBlocks(variant)
+    return CoproductEq(HaltingFamily(variant))
 
 
 class RhoHaltingCF(RhoExpr):
@@ -55,7 +54,7 @@ class RhoHaltingCF(RhoExpr):
     kind = "rho_halting_cf"
     rho_kind = "coproduct_greater"
 
-    def __call__(self, n: int) -> bool:
+    def __call__(self, n: int, fuel: Optional[Fuel] = None) -> bool:
         x, i = unpair(n)
         if machine.halts_within(x, i):
             return True          # halted block is the infinite tail
@@ -66,10 +65,6 @@ def cf_hard_perm() -> PermExpr:
     """Permutation whose cycles are the step-label blocks; the cycle of
     <x, 0> is finite exactly when program x halts on its own code."""
     return CoproductPerm(HaltingFamily("cf"), RhoHaltingCF())
-
-
-def halting_pair(x: int, n: int) -> int:
-    return pair(x, n)
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +176,9 @@ class RhoPiXY(RhoExpr):
         self.f = f
         self.family = family if family is not None else PiXYFamily(f)
 
-    def __call__(self, n: int) -> bool:
+    def __call__(self, n: int, fuel: Optional[Fuel] = None) -> bool:
         z, i = unpair(n)
-        return self.family.member(z)._decide(i + 1, i, Fuel.unbounded())
+        return self.family.member(z)._decide(i + 1, i, fuel or Fuel())
 
 
 class InterredCFPerm(PermExpr):
@@ -251,41 +246,37 @@ class ConjReductionPerm(PermExpr):
         self._rho_f = RhoClosure(f, eq)
         self._forb = OrbitCache(f)
         self._kmemo: dict[int, int] = {}
+        # the parity blocks are this node's own cycles, decided by pi_prime
+        parity = cyc.CycleWitness(cyc.DECIDER, self.pi_prime, self)
+        self._inner = FromRho(CycleEqOf(self, "attached", witness=parity),
+                              _RhoPrime(self))
 
-    def _related(self, u: int) -> bool:
-        return eq_decide(self.eq, self.x, u)
+    def _related(self, u: int, fuel: Fuel) -> bool:
+        return self.eq._decide(self.x, u, fuel)
 
-    def _k(self, u: int) -> int:
+    def _k(self, u: int, fuel: Fuel) -> int:
         if u not in self._kmemo:
-            self._kmemo[u] = self._forb.find_k(self.x, u)
+            self._kmemo[u] = self._forb.find_k(self.x, u, fuel)
         return self._kmemo[u]
 
     def pi_prime(self, u: int, v: int, fuel: Optional[Fuel] = None) -> bool:
         if u == v:
             return True
-        return (self._related(u) and self._related(v)
-                and self._k(u) % 2 == 0 and self._k(v) % 2 == 0)
+        fuel = fuel or Fuel()
+        return (self._related(u, fuel) and self._related(v, fuel)
+                and self._k(u, fuel) % 2 == 0 and self._k(v, fuel) % 2 == 0)
 
-    def rho_prime(self, y: int) -> bool:
-        if not self._related(y) or self._k(y) % 2 != 0:
+    def rho_prime(self, y: int, fuel: Fuel) -> bool:
+        if not self._related(y, fuel) or self._k(y, fuel) % 2 != 0:
             return False
         cur = y
         while True:
-            if not self._rho_f(cur):
+            fuel.spend()
+            if not self._rho_f(cur, fuel):
                 return False
-            cur = self._cache.next_greater(cur)
-            if self._k(cur) % 2 == 0:
+            cur = self._cache.next_greater(cur, fuel)
+            if self._k(cur, fuel) % 2 == 0:
                 return True
-
-    @property
-    def _inner(self) -> FromRho:
-        inner = getattr(self, "_inner_node", None)
-        if inner is None:
-            inner = FromRho(
-                OpaqueEq(lambda u, v: self.pi_prime(u, v), label="parity-blocks"),
-                self.rho_prime)
-            self._inner_node = inner
-        return inner
 
     def fwd(self, n: int, fuel: Fuel) -> int:
         return self._inner.fwd(n, fuel)
@@ -294,13 +285,19 @@ class ConjReductionPerm(PermExpr):
         return self._inner.bwd(n, fuel)
 
 
+class _RhoPrime(RhoExpr):
+    """rho' of a ConjReductionPerm, asked with the caller's fuel."""
+
+    def __init__(self, node: ConjReductionPerm):
+        self.node = node
+
+    def __call__(self, y: int, fuel: Optional[Fuel] = None) -> bool:
+        return self.node.rho_prime(y, fuel or Fuel())
+
+
 def conj_reduction_perm(f: PermExpr, w: cyc.CycleWitness, x: int,
                         eq: Optional[EqExpr] = None) -> tuple[PermExpr, cyc.CycleWitness]:
-    from .normalform import witness_to_eq
     if eq is None:
         eq = witness_to_eq(w)
     node = ConjReductionPerm(f, eq, x)
-    witness = cyc.CycleWitness(cyc.DECIDER,
-                               lambda u, v, fu=None: node.pi_prime(u, v, fu),
-                               node)
-    return node, witness
+    return node, cyc.CycleWitness(cyc.DECIDER, node.pi_prime, node)

@@ -15,23 +15,23 @@ constructible; both directions of that correspondence live here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Callable, Optional, Union
 
 from .core import Fuel, PreconditionViolation, delta, delta_inv
 from .equivalence import (
-    SCAN_CAP,
     BlockCache,
     BlockDecider,
+    CycleEqOf,
     EqExpr,
     OpaqueEq,
-    eq_decide,
 )
 from .permutation import (
-    CoproductPerm,
     FromRho,
     NormalFromSet,
     OrbitCache,
     PermExpr,
+    RhoExpr,
     SeminormalFromRho,
     perm_eval,
     perm_eval_inv,
@@ -40,15 +40,7 @@ from . import cycles as cyc
 
 
 # ---------------------------------------------------------------------------
-# rho expressions
-
-
-class RhoExpr:
-    kind = "rho"
-    rho_kind = "greater"  # or "cardinality", "coproduct_greater"
-
-    def __call__(self, x: int) -> int:
-        raise NotImplementedError
+# rho expressions (the RhoExpr base lives beside FromRho, which asks them)
 
 
 class RhoConst(RhoExpr):
@@ -61,7 +53,7 @@ class RhoConst(RhoExpr):
     def __init__(self, value: bool):
         self.value = bool(value)
 
-    def __call__(self, x: int) -> int:
+    def __call__(self, x: int, fuel: Optional[Fuel] = None) -> int:
         return self.value
 
 
@@ -84,17 +76,18 @@ class RhoClosure(RhoExpr):
         self._state: dict[int, dict] = {}
         self._memo: dict[int, bool] = {}
 
-    def __call__(self, x: int) -> bool:
+    def __call__(self, x: int, fuel: Optional[Fuel] = None) -> bool:
         if x in self._memo:
             return self._memo[x]
-        members = self._cache.members_le(x)
+        fuel = fuel or Fuel()
+        members = self._cache.members_le(x, fuel)
         lr = members[0]
         st = self._state.setdefault(
             lr, {"n": 0, "seen": set(), "escapes": 0, "waiting": {}})
         while st["n"] < len(members):
             m = members[st["n"]]
             st["seen"].add(m)
-            fm = perm_eval(self.f, m)
+            fm = perm_eval(self.f, m, fuel)
             if fm not in st["seen"]:
                 st["escapes"] += 1
                 st["waiting"][fm] = st["waiting"].get(fm, 0) + 1
@@ -116,12 +109,13 @@ class RhoFromNormal(RhoExpr):
         self.fprime = fprime
         self._orbits = OrbitCache(fprime)
 
-    def __call__(self, x: int) -> bool:
-        m = normal_min(self.fprime, x)
-        for j in range(SCAN_CAP):
-            if self._orbits.value(m, delta_inv(j)) == x:
-                return self._orbits.value(m, delta_inv(j + 1)) > x
-        raise PreconditionViolation("subject not normal: x unreachable from its minimum")
+    def __call__(self, x: int, fuel: Optional[Fuel] = None) -> bool:
+        fuel = fuel or Fuel()
+        m = normal_min(self.fprime, x, fuel)
+        for j in count():
+            fuel.spend()
+            if self._orbits.value(m, delta_inv(j), fuel) == x:
+                return self._orbits.value(m, delta_inv(j + 1), fuel) > x
 
 
 class RhoCardConst(RhoExpr):
@@ -131,7 +125,7 @@ class RhoCardConst(RhoExpr):
     def __init__(self, c: int):
         self.c = int(c)
 
-    def __call__(self, x: int) -> int:
+    def __call__(self, x: int, fuel: Optional[Fuel] = None) -> int:
         return self.c
 
 
@@ -146,9 +140,10 @@ class RhoCardForBlocks(RhoExpr):
         self.eq = eq
         self.reps_with_cards = [(int(r), int(c)) for r, c in reps_with_cards]
 
-    def __call__(self, x: int) -> int:
+    def __call__(self, x: int, fuel: Optional[Fuel] = None) -> int:
+        fuel = fuel or Fuel()
         for rep, card in self.reps_with_cards:
-            if eq_decide(self.eq, rep, x):
+            if self.eq._decide(rep, x, fuel):
                 return card
         raise PreconditionViolation("representative table does not cover all blocks")
 
@@ -203,9 +198,8 @@ def finite_union_check(f: PermExpr, A: list[int]) -> Union[Closed, Escape]:
 
 
 def witness_to_eq(w: cyc.CycleWitness) -> EqExpr:
-    """View a cycle witness as an equivalence expression (opaque decider)."""
-    d = cyc.witness_convert(w, cyc.DECIDER)
-    return OpaqueEq(lambda x, y: d.payload(x, y), label="cycle-witness")
+    """View a cycle witness as the cycle partition of its subject."""
+    return CycleEqOf(w.subject, "attached", witness=w)
 
 
 def normalize(f: PermExpr, w: cyc.CycleWitness, eq: Optional[EqExpr] = None) -> PermExpr:
@@ -219,10 +213,6 @@ def perm_from_rho(eq: EqExpr, rho) -> PermExpr:
     if isinstance(rho, RhoExpr) and rho.rho_kind != "greater":
         raise ValueError("perm_from_rho needs a greater-element rho")
     return FromRho(eq, rho)
-
-
-def coproduct_perm_from_rho(family, rho) -> PermExpr:
-    return CoproductPerm(family, rho)
 
 
 def seminormal_from_rho(eq: EqExpr, rho) -> PermExpr:
@@ -255,7 +245,7 @@ def normal_min_with_probes(fprime: PermExpr, x: int,
     cached and not itself counted, so the probe count is the length of the
     derivation, logarithmic in the distance to the minimum.
     """
-    f = fuel if fuel is not None else Fuel.unbounded()
+    f = fuel or Fuel()
     xp = fprime.fwd(x, f)
     xm = fprime.bwd(x, f)
     probes = 2
@@ -312,26 +302,27 @@ def decider_from_normal(fprime: PermExpr) -> cyc.CycleWitness:
 
 
 def _cycle_min_seminormal(f: PermExpr, x: int, orbits: OrbitCache,
-                          cap: int = SCAN_CAP) -> int:
+                          fuel: Fuel) -> int:
     """Least element of x's cycle for semi-normal f, by alternating search
-    for the unique local minimum."""
-    for j in range(cap):
-        c = orbits.value(x, delta_inv(j))
-        if c <= perm_eval(f, c) and c <= perm_eval_inv(f, c):
+    for the unique local minimum, one unit of fuel per orbit point."""
+    for j in count():
+        fuel.spend()
+        c = orbits.value(x, delta_inv(j), fuel)
+        if c <= perm_eval(f, c, fuel) and c <= perm_eval_inv(f, c, fuel):
             return c
-    raise PreconditionViolation("no local minimum found: subject not semi-normal?")
 
 
-def seminormal_cf_decider(f: PermExpr) -> Callable[[int], bool]:
+def seminormal_cf_decider(f: PermExpr) -> Callable[..., bool]:
     """Cycle-finiteness decider valid for semi-normal f."""
     orbits = OrbitCache(f)
 
-    def finite(x: int) -> bool:
-        x0 = _cycle_min_seminormal(f, x, orbits)
-        up = perm_eval(f, x0)
-        if up == x0 or perm_eval(f, up) == x0:
+    def finite(x: int, fuel: Optional[Fuel] = None) -> bool:
+        fuel = fuel or Fuel()
+        x0 = _cycle_min_seminormal(f, x, orbits, fuel)
+        up = perm_eval(f, x0, fuel)
+        if up == x0 or perm_eval(f, up, fuel) == x0:
             return True
-        down = perm_eval_inv(f, x0)
+        down = perm_eval_inv(f, x0, fuel)
         if x0 < down < up:
             return False
         if x0 < up < down:
@@ -379,18 +370,19 @@ class SeminormalToNormal(PermExpr):
         out = [x]
         v = perm_eval(self.f, x, fuel)
         while v != x:
+            fuel.spend()
             out.append(v)
             v = perm_eval(self.f, v, fuel)
         return sorted(out)
 
     def fwd(self, x: int, fuel: Fuel) -> int:
-        if not self._finite(x):
+        if not self._finite(x, fuel):
             return self.f.fwd(x, fuel)
         members = self._cycle_sorted(x, fuel)
         return members[_normal_fwd_index(members.index(x), len(members))]
 
     def bwd(self, x: int, fuel: Fuel) -> int:
-        if not self._finite(x):
+        if not self._finite(x, fuel):
             return self.f.bwd(x, fuel)
         members = self._cycle_sorted(x, fuel)
         return members[_normal_bwd_index(members.index(x), len(members))]
@@ -425,7 +417,8 @@ class NormalityReport:
         return all(e.verdict == "normal" for e in self.entries)
 
 
-def normality_report(f: PermExpr, window: int) -> NormalityReport:
+def normality_report(f: PermExpr, window: int,
+                     fuel: Optional[Fuel] = None) -> NormalityReport:
     """Inspect every cycle whose minimum lies in the window.
 
     Cycle minima are spotted by the local test x <= min(x+, x-); from each
@@ -433,7 +426,7 @@ def normality_report(f: PermExpr, window: int) -> NormalityReport:
     the window allows.  Finite cycles that fail the zig-zag order but list
     their members in plain increasing order are reported seminormal-finite.
     """
-    fuel = Fuel.unbounded()
+    fuel = fuel or Fuel()
     orbits = OrbitCache(f)
     entries: list[CycleVerdict] = []
     cap = 2 * window + 4
@@ -453,7 +446,7 @@ def normality_report(f: PermExpr, window: int) -> NormalityReport:
                 # x is not actually its cycle's minimum: skip, the true
                 # minimum reports this cycle (or lies outside the window)
                 continue
-            zig = [orbits.value(x, delta_inv(j)) for j in range(n)]
+            zig = [orbits.value(x, delta_inv(j), fuel) for j in range(n)]
             if zig == srt or n <= 2:
                 entries.append(CycleVerdict(x, "normal"))
             elif members == srt:
@@ -467,7 +460,7 @@ def normality_report(f: PermExpr, window: int) -> NormalityReport:
             prev = x
             verdict: Optional[CycleVerdict] = None
             for j in range(1, cap):
-                b = orbits.value(x, delta_inv(j))
+                b = orbits.value(x, delta_inv(j), fuel)
                 if b <= prev:
                     verdict = CycleVerdict(x, "violation", (x, j, b, prev))
                     break

@@ -8,7 +8,9 @@ per-node member cache; caches are invisible to callers.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable, Optional
 
 from .core import (
@@ -19,7 +21,7 @@ from .core import (
     pair,
     unpair,
 )
-from .equivalence import SCAN_CAP, BlockCache, EqExpr, FamilyExpr, eq_decide
+from .equivalence import BlockCache, EqExpr, FamilyExpr
 
 
 class PermExpr:
@@ -35,17 +37,17 @@ class PermExpr:
 def perm_eval(p: PermExpr, x: int, fuel: Optional[Fuel] = None) -> int:
     if x < 0:
         raise ValueError("permutations act on naturals")
-    return p.fwd(x, fuel if fuel is not None else Fuel.unbounded())
+    return p.fwd(x, fuel or Fuel())
 
 
 def perm_eval_inv(p: PermExpr, x: int, fuel: Optional[Fuel] = None) -> int:
     if x < 0:
         raise ValueError("permutations act on naturals")
-    return p.bwd(x, fuel if fuel is not None else Fuel.unbounded())
+    return p.bwd(x, fuel or Fuel())
 
 
 def perm_power(p: PermExpr, x: int, k: int, fuel: Optional[Fuel] = None) -> int:
-    f = fuel if fuel is not None else Fuel.unbounded()
+    f = fuel or Fuel()
     v = x
     if k >= 0:
         for _ in range(k):
@@ -111,7 +113,8 @@ class FinitaryProduct(PermExpr):
     def support_mapping(self) -> dict[int, int]:
         """Finite forward table on the union of the transpositions' points."""
         pts = {p for t in self.transpositions for p in t}
-        return {p: self.fwd(p, Fuel.unbounded()) for p in pts}
+        fuel = Fuel()
+        return {p: self.fwd(p, fuel) for p in pts}
 
 
 class DeltaSucc(PermExpr):
@@ -173,7 +176,7 @@ class PiecewiseResidue(PermExpr):
             self._check(check_window)
 
     def _check(self, window: int) -> None:
-        fuel = Fuel.unbounded()
+        fuel = Fuel()
         seen: dict[int, int] = {}
         for x in range(window):
             y = self.fwd(x, fuel)
@@ -280,15 +283,13 @@ class NormalFromSet(PermExpr):
 
     def _ensure_count(self, n: int, fuel: Fuel) -> None:
         while len(self._mem) < n:
-            if self._scan > SCAN_CAP:
-                raise PreconditionViolation("support set exhausted: not infinite?")
+            fuel.spend()
             if self._member(self._scan, fuel):
                 self._mem.append(self._scan)
             self._scan += 1
 
     def _index_of(self, x: int, fuel: Fuel) -> int:
         self._ensure_through(x, fuel)
-        import bisect
         i = bisect.bisect_left(self._mem, x)
         assert self._mem[i] == x
         return i
@@ -310,6 +311,24 @@ class NormalFromSet(PermExpr):
         return self._at(delta(delta_inv(i) - 1), fuel)
 
 
+class RhoExpr:
+    """A rho query, asked per point with the caller's fuel: "does x's block
+    hold a larger element" (rho_kind "greater") or "how big is x's block, 0
+    meaning infinite" ("cardinality")."""
+
+    kind = "rho"
+    rho_kind = "greater"  # or "cardinality", "coproduct_greater"
+
+    def __call__(self, x: int, fuel: Optional[Fuel] = None) -> int:
+        raise NotImplementedError
+
+
+def _rho_query(rho) -> Callable[[int, Fuel], int]:
+    """rho as a (point, fuel) query.  A RhoExpr takes the fuel; any other
+    callable is a plain predicate of the point."""
+    return rho if isinstance(rho, RhoExpr) else (lambda x, fuel: rho(x))
+
+
 class FromRho(PermExpr):
     """Normal member of Perm(eq), built from the greater-element predicate.
 
@@ -324,34 +343,32 @@ class FromRho(PermExpr):
     def __init__(self, eq: EqExpr, rho):
         self.eq = eq
         self.rho = rho
+        self._rho = _rho_query(rho)
         self._cache = BlockCache(eq)
 
-    def _rho(self, x: int, fuel: Fuel) -> bool:
-        return bool(self.rho(x))
-
     def fwd(self, x: int, fuel: Fuel) -> int:
-        members = self._cache.members_le(x)
+        members = self._cache.members_le(x, fuel)
         k = len(members) - 1
         if k % 2 == 0:
             if self._rho(x, fuel):
-                x1 = self._cache.next_greater(x)
+                x1 = self._cache.next_greater(x, fuel)
                 if self._rho(x1, fuel):
-                    return self._cache.next_greater(x1)
+                    return self._cache.next_greater(x1, fuel)
                 return x1
             return x if k == 0 else members[k - 1]
         return members[0] if k == 1 else members[k - 2]
 
     def bwd(self, m: int, fuel: Fuel) -> int:
-        members = self._cache.members_le(m)
+        members = self._cache.members_le(m, fuel)
         t = len(members) - 1
         if t % 2 == 0:
             if t >= 2:
                 return members[t - 2]
-            return self._cache.next_greater(m) if self._rho(m, fuel) else m
+            return self._cache.next_greater(m, fuel) if self._rho(m, fuel) else m
         if self._rho(m, fuel):
-            n1 = self._cache.next_greater(m)
+            n1 = self._cache.next_greater(m, fuel)
             if self._rho(n1, fuel):
-                return self._cache.next_greater(n1)
+                return self._cache.next_greater(n1, fuel)
             return n1
         return members[t - 1]
 
@@ -366,16 +383,17 @@ class SeminormalFromRho(PermExpr):
     def __init__(self, eq: EqExpr, rho):
         self.eq = eq
         self.rho = rho
+        self._rho = _rho_query(rho)
         self._cache = BlockCache(eq)
 
     def _map(self, x: int, step: int, fuel: Fuel) -> int:
-        n = int(self.rho(x))
-        lr = self._cache.least_rep(x)
+        n = int(self._rho(x, fuel))
+        lr = self._cache.least_rep(x, fuel)
         if n == 0:
-            i = self._cache.member_index(x)
-            return self._cache.nth_member(lr, delta(delta_inv(i) + step))
-        self._cache.nth_member(lr, n - 1)
-        members = self._cache.members_le(self._cache.nth_member(lr, n - 1))
+            i = self._cache.member_index(x, fuel)
+            return self._cache.nth_member(lr, delta(delta_inv(i) + step), fuel)
+        last = self._cache.nth_member(lr, n - 1, fuel)
+        members = self._cache.members_le(last, fuel)
         idx = members.index(x)
         return members[(idx + step) % n]
 
@@ -386,17 +404,15 @@ class SeminormalFromRho(PermExpr):
         return self._map(x, -1, fuel)
 
 
-class _SectionRho:
-    """rho restricted to one coproduct index."""
+class _SectionRho(RhoExpr):
+    """A coproduct rho query restricted to one index."""
 
-    __slots__ = ("rho", "z")
-
-    def __init__(self, rho, z: int):
+    def __init__(self, rho: Callable[[int, Fuel], int], z: int):
         self.rho = rho
         self.z = z
 
-    def __call__(self, x: int) -> bool:
-        return bool(self.rho(pair(self.z, x)))
+    def __call__(self, x: int, fuel: Optional[Fuel] = None) -> int:
+        return self.rho(pair(self.z, x), fuel)
 
 
 class CoproductPerm(PermExpr):
@@ -408,11 +424,12 @@ class CoproductPerm(PermExpr):
     def __init__(self, family: FamilyExpr, rho):
         self.family = family
         self.rho = rho
+        self._rho = _rho_query(rho)
         self._parts: dict[int, FromRho] = {}
 
     def _part(self, z: int) -> FromRho:
         if z not in self._parts:
-            self._parts[z] = FromRho(self.family.member(z), _SectionRho(self.rho, z))
+            self._parts[z] = FromRho(self.family.member(z), _SectionRho(self._rho, z))
         return self._parts[z]
 
     def fwd(self, n: int, fuel: Fuel) -> int:
@@ -432,7 +449,7 @@ class OrbitCache:
         self._orb: dict[int, tuple[list[int], list[int]]] = {}
 
     def value(self, base: int, k: int, fuel: Optional[Fuel] = None) -> int:
-        f = fuel if fuel is not None else Fuel.unbounded()
+        f = fuel or Fuel()
         fwd, bwd = self._orb.setdefault(base, ([base], [base]))
         if k >= 0:
             while len(fwd) <= k:
@@ -442,18 +459,16 @@ class OrbitCache:
             bwd.append(self.perm.bwd(bwd[-1], f))
         return bwd[-k]
 
-    def find_k(self, base: int, target: int, fuel: Optional[Fuel] = None,
-               cap: int = SCAN_CAP) -> int:
-        """Least k in xi order with perm^k(base) = target.  The caller must
-        know base and target share a cycle; the cap turns a violated
-        obligation into an exception instead of a hang."""
-        for j in range(cap):
-            if fuel is not None:
-                fuel.spend()
+    def find_k(self, base: int, target: int, fuel: Optional[Fuel] = None) -> int:
+        """Least k in xi order with perm^k(base) = target, one unit of fuel
+        per power tried.  The caller must know base and target share a
+        cycle; otherwise the search runs until the fuel is gone."""
+        fuel = fuel or Fuel()
+        for j in count():
+            fuel.spend()
             k = delta_inv(j)
             if self.value(base, k, fuel) == target:
                 return k
-        raise PreconditionViolation("orbit search cap hit: not the same cycle?")
 
 
 class ConjugatorSamePartition(PermExpr):
@@ -475,13 +490,13 @@ class ConjugatorSamePartition(PermExpr):
         self._gorb = OrbitCache(g)
 
     def fwd(self, x: int, fuel: Fuel) -> int:
-        y = self._cache.least_rep(x)
-        k = self._forb.find_k(y, x)
+        y = self._cache.least_rep(x, fuel)
+        k = self._forb.find_k(y, x, fuel)
         return self._gorb.value(y, k, fuel)
 
     def bwd(self, z: int, fuel: Fuel) -> int:
-        y = self._cache.least_rep(z)
-        k = self._gorb.find_k(y, z)
+        y = self._cache.least_rep(z, fuel)
+        k = self._gorb.find_k(y, z, fuel)
         return self._forb.value(y, k, fuel)
 
 
@@ -524,14 +539,14 @@ def eta_decode(z: int) -> FinitaryProduct:
 
 def orbit_window(p: PermExpr, x: int, steps: int,
                  fuel: Optional[Fuel] = None) -> list[tuple[int, int]]:
-    f = fuel if fuel is not None else Fuel.unbounded()
+    f = fuel or Fuel()
     walker = OrbitCache(p)
     return [(delta_inv(j), walker.value(x, delta_inv(j), f)) for j in range(steps)]
 
 
 def window_bijection_check(p: PermExpr, window: int,
                            fuel: Optional[Fuel] = None) -> bool:
-    f = fuel if fuel is not None else Fuel.unbounded()
+    f = fuel or Fuel()
     seen = set()
     for x in range(window):
         y = p.fwd(x, f)

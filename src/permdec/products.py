@@ -29,7 +29,7 @@ from .permutation import (
 from . import cycles as cyc
 
 Decider = Callable[..., bool]
-CFProc = Callable[[int], bool]
+CFProc = Callable[..., bool]
 
 
 def _as_decider(w: cyc.CycleWitness) -> Decider:
@@ -38,9 +38,15 @@ def _as_decider(w: cyc.CycleWitness) -> Decider:
     return w.payload
 
 
+def _with_fuel(cf: CFProc) -> CFProc:
+    """A caller's one-argument finiteness procedure, taking a fuel too."""
+    return lambda u, fu=None: cf(u)
+
+
 def _product_parts(x: int, y: int, f: PermExpr, pi: Decider,
                    cf: CFProc) -> tuple[Decider, CFProc]:
-    """Decider and finiteness procedure for (x y) applied after f.
+    """Decider and finiteness procedure for (x y) applied after f; cf takes
+    (u, fuel), and both results take an optional fuel.
 
     The case analysis is resolved lazily on first use so that building a
     long chain of products stays cheap until queried.
@@ -51,24 +57,25 @@ def _product_parts(x: int, y: int, f: PermExpr, pi: Decider,
     orbits = OrbitCache(f)
     state: dict = {}
 
-    def resolve() -> None:
+    def resolve(fu: Fuel) -> None:
         if state:
             return
-        if pi(x, y):
+        if pi(x, y, fu):
             # (a) split: walk both points forward until one meets the other
             i = 1
             while True:
-                if orbits.value(x, i) == y:
+                fu.spend()
+                if orbits.value(x, i, fu) == y:
                     lower = x
                     break
-                if orbits.value(y, i) == x:
+                if orbits.value(y, i, fu) == x:
                     lower = y
                     break
                 i += 1
             state["case"] = "a"
-            state["seg"] = {orbits.value(lower, t) for t in range(i)}
+            state["seg"] = {orbits.value(lower, t, fu) for t in range(i)}
             return
-        fx, fy = cf(x), cf(y)
+        fx, fy = cf(x, fu), cf(y, fu)
         if fx or fy:
             state["case"] = "b"
             state["fused_finite"] = fx and fy
@@ -76,10 +83,10 @@ def _product_parts(x: int, y: int, f: PermExpr, pi: Decider,
         state["case"] = "c"
         state["labels"] = {}
 
-    def in_union(u: int, fu: Optional[Fuel]) -> bool:
+    def in_union(u: int, fu: Fuel) -> bool:
         return pi(u, x, fu) or pi(u, y, fu)
 
-    def ray_label(u: int, fu: Optional[Fuel]) -> Optional[str]:
+    def ray_label(u: int, fu: Fuel) -> Optional[str]:
         # (c): nonnegative powers of x and negative powers of y land in one
         # product cycle, the mirrored half-rays in the other.
         labels = state["labels"]
@@ -102,12 +109,12 @@ def _product_parts(x: int, y: int, f: PermExpr, pi: Decider,
         hit = pair_memo.get(key)
         if hit is not None:
             return hit
-        ans = _decide(u, v, fu)
+        ans = _decide(u, v, fu or Fuel())
         pair_memo[key] = ans
         return ans
 
-    def _decide(u: int, v: int, fu: Optional[Fuel]) -> bool:
-        resolve()
+    def _decide(u: int, v: int, fu: Fuel) -> bool:
+        resolve(fu)
         case = state["case"]
         if case == "a":
             iu, iv = pi(u, x, fu), pi(v, x, fu)
@@ -129,28 +136,28 @@ def _product_parts(x: int, y: int, f: PermExpr, pi: Decider,
             return pi(u, v, fu)
         return lu == lv
 
-    def cf_out(u: int) -> bool:
+    def cf_out(u: int, fu: Optional[Fuel] = None) -> bool:
         hit = cf_memo.get(u)
         if hit is not None:
             return hit
-        ans = _cf(u)
+        ans = _cf(u, fu or Fuel())
         cf_memo[u] = ans
         return ans
 
-    def _cf(u: int) -> bool:
-        resolve()
+    def _cf(u: int, fu: Fuel) -> bool:
+        resolve(fu)
         case = state["case"]
         if case == "a":
-            if pi(u, x):
-                return u in state["seg"] or cf(x)
-            return cf(u)
+            if pi(u, x, fu):
+                return u in state["seg"] or cf(x, fu)
+            return cf(u, fu)
         if case == "b":
-            if in_union(u, None):
+            if in_union(u, fu):
                 return state["fused_finite"]
-            return cf(u)
-        if ray_label(u, None) is not None:
+            return cf(u, fu)
+        if ray_label(u, fu) is not None:
             return False
-        return cf(u)
+        return cf(u, fu)
 
     return decider, cf_out
 
@@ -159,7 +166,7 @@ def transposition_times_cf(x: int, y: int, f: PermExpr, w: cyc.CycleWitness,
                            cf: CFProc) -> tuple[cyc.CycleWitness, CFProc]:
     """Decider and finiteness procedure for the product (x y) after f."""
     expr = TranspositionTimes(x, y, f)
-    decider, cf_out = _product_parts(x, y, f, _as_decider(w), cf)
+    decider, cf_out = _product_parts(x, y, f, _as_decider(w), _with_fuel(cf))
     return cyc.CycleWitness(cyc.DECIDER, decider, expr), cf_out
 
 
@@ -183,7 +190,7 @@ def finitary_product(a_code: int, f: PermExpr, b_code: int,
 
     cur: PermExpr = f
     decider = _as_decider(w)
-    cur_cf = cf
+    cur_cf = _with_fuel(cf)
     for (u, v) in reversed(a.transpositions):
         if u == v:
             continue
@@ -213,9 +220,10 @@ def cf_from_product_deciders(f: PermExpr, w: cyc.CycleWitness,
         return lambda x: True
     pi = _as_decider(w)
 
-    def cf(x: int) -> bool:
-        if x == y0 or pi(x, y0):
+    def cf(x: int, fu: Optional[Fuel] = None) -> bool:
+        fu = fu or Fuel()
+        if x == y0 or pi(x, y0, fu):
             return False
-        return uniform(x, y0)(x, y0)
+        return uniform(x, y0)(x, y0, fu)
 
     return cf

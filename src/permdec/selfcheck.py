@@ -32,7 +32,6 @@ from .equivalence import (
     EqExpr,
     FibersOf,
     Full,
-    HaltingBlocks,
     ImageEq,
     ModFun,
     Modulo,
@@ -224,7 +223,7 @@ def _equiv_fixtures() -> list[tuple[str, EqExpr]]:
         ("cycles-evens", CycleEqOf(even_zigzag(), "one_infinite")),
         ("cycles-finitary", CycleEqOf(FinitaryProduct([(0, 1), (2, 3), (3, 4)]),
                                       "one_infinite")),
-        ("halting-blocks", HaltingBlocks("cf")),
+        ("halting-blocks", gd.halting_equivalence("cf")),
     ]
 
 

@@ -91,7 +91,6 @@ _ENCODERS = {
                             "h": to_jsonable(e.h)},
     eqm.CoproductEq: lambda e: {"kind": "coproduct",
                                 "family": to_jsonable(e.family)},
-    eqm.HaltingBlocks: lambda e: {"kind": "halting_blocks", "variant": e.variant},
     eqm.PiXY: lambda e: {"kind": "pi_xy", "f": to_jsonable(e.f),
                          "x": _n(e.x), "y": _n(e.y)},
     # families
@@ -190,7 +189,8 @@ _DECODERS = {
     "image": lambda d: eqm.ImageEq(from_jsonable(d["base"]),
                                    from_jsonable(d["h"])),
     "coproduct": lambda d: eqm.CoproductEq(from_jsonable(d["family"])),
-    "halting_blocks": lambda d: eqm.HaltingBlocks(d["variant"]),
+    # the old name of the halting coproduct, still read
+    "halting_blocks": lambda d: eqm.CoproductEq(eqm.HaltingFamily(d["variant"])),
     "pi_xy": lambda d: eqm.PiXY(from_jsonable(d["f"]), _i(d["x"]), _i(d["y"])),
     "constant_family": lambda d: eqm.ConstantFamily(from_jsonable(d["eq"])),
     "halting_family": lambda d: eqm.HaltingFamily(d["variant"]),

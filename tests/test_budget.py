@@ -1,0 +1,162 @@
+"""The caller's Fuel is the one budget of every search.
+
+Every PermExpr and EqExpr kind the serializer knows is evaluated under tiny
+budgets: it answers as under the default budget, or raises FuelExhausted,
+and a run that ran out leaves its caches sound for the next call.
+"""
+
+import pytest
+
+from permdec import (
+    Compose,
+    ConjReductionPerm,
+    ConjugatorSamePartition,
+    CycleEqOf,
+    DeltaSucc,
+    EqExpr,
+    FibersOf,
+    FinitaryProduct,
+    FromRho,
+    Fuel,
+    FuelExhausted,
+    Full,
+    Identity,
+    ImageEq,
+    InterredCFPerm,
+    Inverse,
+    ModFun,
+    Modulo,
+    NormalFromSet,
+    OddLengthGadget,
+    PermExpr,
+    PiXY,
+    RhoCardConst,
+    RhoConst,
+    SeminormalFromRho,
+    SeminormalToNormal,
+    Singletons,
+    Transposition,
+    TranspositionTimes,
+    cf_hard_perm,
+    eq_decide,
+    even_zigzag,
+    halting_equivalence,
+    normality_report,
+    perm_eval,
+    perm_eval_inv,
+)
+from permdec import serialize
+from permdec.selfcheck import evens_odds
+
+ZIG = even_zigzag()
+FIN = FinitaryProduct([(0, 1), (1, 2), (5, 9)])
+BUDGETS = (0, 1, 2, 5, 20, 100)
+# far points make a block scan run out part-way, after finding members
+POINTS = (*range(10), 40, 97)
+
+# (kind, factory of a fresh expression): every call builds new caches
+FIXTURES = [
+    ("identity", lambda: Identity()),
+    ("transposition", lambda: Transposition(2, 7)),
+    ("finitary_product", lambda: FIN),
+    ("delta_succ", lambda: DeltaSucc()),
+    ("piecewise_residue", lambda: ZIG),
+    ("transposition_times", lambda: TranspositionTimes(0, 4, ZIG)),
+    ("compose", lambda: Compose(ZIG, FIN)),
+    ("inverse", lambda: Inverse(ZIG)),
+    ("normal_from_set", lambda: NormalFromSet(Modulo(2), 0)),
+    ("from_rho", lambda: FromRho(Modulo(3), RhoConst(True))),
+    ("seminormal_from_rho", lambda: SeminormalFromRho(Modulo(2), RhoCardConst(0))),
+    ("coproduct_perm", cf_hard_perm),
+    ("conjugator_same_partition", lambda: ConjugatorSamePartition(
+        ZIG, Inverse(ZIG), CycleEqOf(ZIG, "one_infinite"))),
+    ("odd_length_gadget", lambda: OddLengthGadget(FIN)),
+    ("interred_cf", lambda: InterredCFPerm(FIN)),
+    ("conj_reduction", lambda: ConjReductionPerm(ZIG, CycleEqOf(ZIG, "one_infinite"), 0)),
+    ("seminormal_to_normal", lambda: SeminormalToNormal(
+        Compose(ZIG, FinitaryProduct([(1, 3), (3, 5)])))),
+    ("singletons", lambda: Singletons()),
+    ("full", lambda: Full()),
+    ("modulo", lambda: Modulo(3)),
+    ("fibers_of", lambda: FibersOf(ModFun(4))),
+    ("cycle_eq_of", lambda: CycleEqOf(ZIG, "one_infinite")),
+    ("cycle_eq_of", lambda: CycleEqOf(evens_odds(), "few_infinite", reps=[0, 1])),
+    ("cycle_eq_of", lambda: CycleEqOf(ZIG, "normal")),
+    ("image", lambda: ImageEq(Modulo(3), FIN)),
+    ("coproduct", lambda: halting_equivalence("cf")),
+    ("pi_xy", lambda: PiXY(ZIG, 4, 14)),
+]
+
+
+def _queries(obj):
+    """The questions asked of obj, each as a function of the fuel."""
+    if isinstance(obj, PermExpr):
+        return ([lambda fu, x=x: perm_eval(obj, x, fu) for x in POINTS]
+                + [lambda fu, x=x: perm_eval_inv(obj, x, fu) for x in POINTS])
+    return [lambda fu, x=x, y=y: eq_decide(obj, x, y, fu)
+            for x in range(8) for y in range(8)]
+
+
+def test_every_serializable_kind_has_a_fixture():
+    kinds = {cls.kind for cls in serialize._ENCODERS
+             if issubclass(cls, (PermExpr, EqExpr))}
+    assert kinds == {kind for kind, _ in FIXTURES}
+
+
+@pytest.mark.parametrize("kind, make", FIXTURES, ids=[k for k, _ in FIXTURES])
+def test_small_budgets_answer_right_or_run_out(kind, make):
+    expected = [q(Fuel()) for q in _queries(make())]
+    obj = make()
+    assert obj.kind == kind
+    queries = _queries(obj)
+    for budget in BUDGETS:
+        for q, want in zip(queries, expected):
+            try:
+                got = q(Fuel(budget))
+            except FuelExhausted:
+                continue
+            assert got == want
+    # whatever ran out part-way left the caches sound
+    assert [q(Fuel()) for q in queries] == expected
+
+
+def test_from_rho_charges_the_callers_fuel():
+    with pytest.raises(FuelExhausted):
+        perm_eval(FromRho(Modulo(3), RhoConst(True)), 300000, Fuel(1))
+    fuel = Fuel(10**6)
+    assert perm_eval(FromRho(Modulo(3), RhoConst(True)), 300000, fuel) == 300006
+    assert fuel.used > 0
+
+
+def test_evaluation_makes_no_fuel_below_the_top(monkeypatch):
+    made = []
+    init = Fuel.__init__
+
+    def counting(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    g = InterredCFPerm(FIN)
+    fuel = Fuel()
+    monkeypatch.setattr(Fuel, "__init__", counting)
+    for n in range(60):
+        perm_eval(g, n, fuel)
+        perm_eval_inv(g, n, fuel)
+    assert made == []
+    assert fuel.used > 0
+
+
+def test_a_violated_obligation_runs_out_of_fuel():
+    assert Fuel().budget == 10**7
+    # rho claims a greater blockmate that the singletons relation lacks
+    fuel = Fuel(10_000)
+    with pytest.raises(FuelExhausted):
+        perm_eval(FromRho(Singletons(), RhoConst(True)), 0, fuel)
+    assert fuel.used == 10_000
+
+
+def test_normality_report_takes_the_callers_fuel():
+    fp = FromRho(Modulo(3), RhoConst(True))
+    with pytest.raises(FuelExhausted):
+        normality_report(fp, 40, Fuel(10))
+    assert normality_report(fp, 40, Fuel(None)).all_normal

@@ -53,6 +53,10 @@ def test_decider_few_infinite():
     assert w.payload(2, 8)
     assert w.payload(3, 9)
     assert not w.payload(2, 9)
+    # a listed representative as either argument lands at once
+    pairs = [(0, 3), (3, 0), (0, 1), (1, 3), (0, 4), (2, 3)]
+    assert [w.payload(x, y, Fuel(1000)) for x, y in pairs] == \
+        [False, False, False, True, True, False]
 
 
 def test_witness_conversion_cycle():

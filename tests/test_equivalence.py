@@ -9,13 +9,12 @@ from permdec import (
     FinitaryProduct,
     Full,
     Fuel,
-    HaltingBlocks,
+    FuelExhausted,
     ImageEq,
     ModFun,
     Modulo,
     OpaqueEq,
     PiXY,
-    PreconditionViolation,
     Singletons,
     TableThenIdentity,
     block_decider,
@@ -25,6 +24,7 @@ from permdec import (
     eq_decide,
     eq_image,
     even_zigzag,
+    halting_equivalence,
     is_isomorphism_on_window,
     least_representative,
     nth_block_decider,
@@ -114,7 +114,7 @@ def test_cycle_eq_few_infinite_strategy():
 def test_halting_blocks_ground_truth():
     from permdec import machine
     from permdec.machine import DECJZ, HALT, program
-    eq = HaltingBlocks("cf")
+    eq = halting_equivalence("cf")
     halting = machine.encode_program(program((HALT,)))   # halts at step 1
     spin = machine.encode_program(program((DECJZ, 1, 0)))
     # before/after the halting step are different blocks
@@ -142,8 +142,10 @@ def test_block_cache_enumeration():
 
 def test_block_cache_cap_on_missing_greater():
     bc = BlockCache(OpaqueEq(lambda x, y: x == y))
-    with pytest.raises(PreconditionViolation):
-        bc.next_greater(3)
+    fuel = Fuel(1000)
+    with pytest.raises(FuelExhausted):
+        bc.next_greater(3, fuel)
+    assert fuel.used == 1000
 
 
 def test_block_cache_least_rep_matches_and_is_memoised():
@@ -151,6 +153,13 @@ def test_block_cache_least_rep_matches_and_is_memoised():
         bc = BlockCache(eq)
         for x in range(200):
             assert bc.least_rep(x) == least_representative(eq, x)
+
+    # a first lookup tests the known reps <= x, then only the points <= x
+    # whose least representative is unknown: here x itself
+    singles = []
+    bc = BlockCache(OpaqueEq(lambda x, y: singles.append((x, y)) or x == y))
+    assert [bc.least_rep(x) for x in range(200)] == list(range(200))
+    assert len(singles) == 200 * 201 // 2
 
     calls = []
 

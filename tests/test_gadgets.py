@@ -40,7 +40,7 @@ def test_looping_fixtures_really_loop():
 def test_cf_hard_perm_halting_cycles_are_finite():
     p = gd.cf_hard_perm()
     for label, code in gd.halting_fixtures()[:4]:
-        c = _cycle_of(p, gd.halting_pair(code, 0))
+        c = _cycle_of(p, pair(code, 0))
         assert c is not None, label
         h = machine.halting_step(code, 10 * code + 50)
         assert len(c) == h, label
@@ -50,7 +50,7 @@ def test_cf_hard_perm_halting_cycles_are_finite():
 def test_cf_hard_perm_looping_cycles_are_infinite():
     p = gd.cf_hard_perm()
     for label, code in gd.looping_fixtures()[:3]:
-        assert _cycle_of(p, gd.halting_pair(code, 0), cap=120) is None, label
+        assert _cycle_of(p, pair(code, 0), cap=120) is None, label
 
 
 def test_cf_hard_perm_is_locally_bijective():

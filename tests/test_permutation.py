@@ -6,6 +6,8 @@ from permdec import (
     DeltaSucc,
     FinitaryProduct,
     FromRho,
+    Fuel,
+    FuelExhausted,
     Identity,
     Inverse,
     Modulo,
@@ -161,8 +163,8 @@ def test_orbit_cache_find_k():
     oc = OrbitCache(g)
     assert oc.find_k(0, 8) == 2
     assert oc.find_k(0, 6) == -2
-    with pytest.raises(PreconditionViolation):
-        OrbitCache(Identity()).find_k(0, 1, cap=50)
+    with pytest.raises(FuelExhausted):
+        OrbitCache(Identity()).find_k(0, 1, Fuel(50))
 
 
 def test_window_bijection_check_flags_bad_maps():

@@ -63,6 +63,11 @@ def test_roundtrip_preserves_structure(obj):
     assert dumps(back) == text
 
 
+def test_halting_blocks_loads_as_the_halting_coproduct():
+    eq = loads('{"kind": "halting_blocks", "variant": "cf"}')
+    assert dumps(eq) == dumps(gd.halting_equivalence("cf"))
+
+
 def test_roundtrip_preserves_behavior():
     g = even_zigzag()
     g2 = loads(dumps(g))
