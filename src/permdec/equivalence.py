@@ -91,12 +91,10 @@ class HaltingLabel(FunExpr):
             raise ValueError("variant must be 'cf' or 'nonpermutable'")
         self.variant = variant
         self.code = code
-        self._memo: dict[int, bool] = {}
+        self._run = machine.Run(code)
 
     def _halts(self, n: int) -> bool:
-        if n not in self._memo:
-            self._memo[n] = machine.halts_within(self.code, n)
-        return self._memo[n]
+        return self._run.halts_within(n)
 
     def __call__(self, n: int) -> int:
         if self.variant == "cf":

@@ -49,16 +49,26 @@ class RhoHaltingCF(RhoExpr):
     """Greater-element predicate for the step-label coproduct, decided by
     simulating one step past the queried index: the not-yet-halted block of
     a halting program is exactly {0, ..., h-1}, so index n has a larger
-    blockmate iff the run is still going at n+1."""
+    blockmate iff the run is still going at n+1.
+
+    The node keeps one resumable machine.Run per program code it was asked
+    about, so a walk over indices 0..n of one code costs about n machine
+    transitions in all, not one simulation from step 0 per query."""
 
     kind = "rho_halting_cf"
     rho_kind = "coproduct_greater"
 
+    def __init__(self):
+        self._runs: dict[int, machine.Run] = {}
+
     def __call__(self, n: int, fuel: Optional[Fuel] = None) -> bool:
         x, i = unpair(n)
-        if machine.halts_within(x, i):
+        run = self._runs.get(x)
+        if run is None:
+            run = self._runs[x] = machine.Run(x)
+        if run.halts_within(i):
             return True          # halted block is the infinite tail
-        return not machine.halts_within(x, i + 1)
+        return not run.halts_within(i + 1)
 
 
 def cf_hard_perm() -> PermExpr:

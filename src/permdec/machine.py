@@ -17,11 +17,27 @@ register 1.  A run "halts within n steps" if some transition t with
 1 <= t <= n lands on (or stays on) a HALT position; in particular nothing
 halts within 0 steps, since even a HALT at the entry point costs the one
 transition that observes it.
+
+A decoded program does not hold every instruction.  Unpairing shrinks the
+payload to a fixed point, 0 or 1, in O(log log z) steps, and every code read
+after that is 0, i.e. INC 0.  So decode_program keeps the instructions read
+before the fixed point and the last one, and stores the run of INC 0 between
+them as a count (ToyProgram.pad); a code near 10**14 has ~1.7 million
+instructions but decodes to a handful.
+
+Run(x) is one resumable simulation of program x on its own code.  It keeps
+the current configuration and, once seen, the halting step, so
+halts_within(n) only simulates past the furthest step reached so far: asking
+for n = 0, 1, ..., N in any order costs N transitions in all, not O(N**2).
+Each transition goes through the module's step function.  halts_within,
+halting_step and certify_loops_forever are thin wrappers over a fresh Run;
+a caller that asks many questions about one code keeps its own Run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Union
 
 from .core import pair, unpair
@@ -38,12 +54,36 @@ class Instr:
     target: int = 0
 
 
+_INC0 = Instr(INC, 0)
+
+
 @dataclass(frozen=True)
 class ToyProgram:
-    instrs: tuple[Instr, ...]
+    """A program of `length` instructions.  `listed` holds them, except
+    that a run of `pad` INC 0 instructions, not stored, sits before the
+    last listed one.  instr(ip) reads one instruction; `instrs` builds the
+    whole tuple, which for a decoded code z is ~sqrt(2z) long."""
+
+    listed: tuple[Instr, ...]
+    pad: int = 0
+
+    @property
+    def length(self) -> int:
+        """len(self), also for programs longer than sys.maxsize."""
+        return len(self.listed) + self.pad
 
     def __len__(self) -> int:
-        return len(self.instrs)
+        return self.length
+
+    def instr(self, ip: int) -> Instr:
+        last = len(self.listed) - 1
+        if ip < last:
+            return self.listed[ip]
+        return _INC0 if ip < last + self.pad else self.listed[-1]
+
+    @property
+    def instrs(self) -> tuple[Instr, ...]:
+        return self.listed[:-1] + (_INC0,) * self.pad + self.listed[-1:]
 
 
 @dataclass(frozen=True)
@@ -74,24 +114,26 @@ def _decode_instr(code: int, length: int) -> Instr:
 
 
 def encode_program(p: ToyProgram) -> int:
-    codes = [_encode_instr(i) for i in p.instrs]
-    payload = 0
-    if codes:
-        payload = codes[-1]
-        for c in reversed(codes[:-1]):
-            payload = pair(c, payload)
-    return pair(len(codes), payload)
+    codes = [_encode_instr(i) for i in p.listed]
+    right_to_left = chain(codes[-1:], repeat(0, p.pad), reversed(codes[:-1]))
+    payload = next(right_to_left, 0)
+    for c in right_to_left:
+        payload = pair(c, payload)
+    return pair(p.length, payload)
 
 
 def decode_program(z: int) -> ToyProgram:
+    """Decode without reading the INC 0 run: once the payload is 0 or 1,
+    unpair(payload) == (0, payload), so the remaining codes are 0 up to
+    the last one, which is the payload itself."""
     n, payload = unpair(z)
     raw: list[int] = []
-    for _ in range(max(n - 1, 0)):
+    while len(raw) < n - 1 and payload > 1:
         c, payload = unpair(payload)
         raw.append(c)
     if n > 0:
         raw.append(payload)
-    return ToyProgram(tuple(_decode_instr(c, n) for c in raw))
+    return ToyProgram(tuple(_decode_instr(c, n) for c in raw), n - len(raw))
 
 
 def program(*instrs: Union[Instr, tuple]) -> ToyProgram:
@@ -116,14 +158,14 @@ def initial_config(code: int) -> MachineConfig:
 
 
 def _is_halt_position(p: ToyProgram, ip: int) -> bool:
-    return ip >= len(p) or p.instrs[ip].op == HALT
+    return ip >= p.length or p.instr(ip).op == HALT
 
 
 def step(p: ToyProgram, c: MachineConfig) -> MachineConfig:
     """One deterministic transition; HALT positions transition to themselves."""
     if _is_halt_position(p, c.ip):
         return MachineConfig(c.ip, c.r0, c.r1, c.steps + 1)
-    ins = p.instrs[c.ip]
+    ins = p.instr(c.ip)
     r0, r1, ip = c.r0, c.r1, c.ip
     if ins.op == INC:
         if ins.reg == 0:
@@ -142,40 +184,50 @@ def step(p: ToyProgram, c: MachineConfig) -> MachineConfig:
     return MachineConfig(ip, r0, r1, c.steps + 1)
 
 
+class Run:
+    """Program `code` run on its own code, resumable: `config` is the
+    furthest configuration simulated so far, and `halted_at` the halting
+    step once the run has reached it (None before)."""
+
+    def __init__(self, code: int):
+        self.program = decode_program(code)
+        self.config = initial_config(code)
+        self.halted_at: int | None = None
+
+    def halts_within(self, n: int) -> bool:
+        """Does the run halt within n transitions?  Simulates only the
+        transitions past config.steps, and none once halted_at is known."""
+        p, c = self.program, self.config
+        while self.halted_at is None and c.steps < n:
+            c = step(p, c)
+            self.config = c
+            if _is_halt_position(p, c.ip):
+                self.halted_at = c.steps
+        return self.halted_at is not None and self.halted_at <= n
+
+
 def halts_within(x: int, n: int) -> bool:
     """Does program x, run on its own code, halt within n transitions?"""
-    p = decode_program(x)
-    c = initial_config(x)
-    for _ in range(n):
-        c = step(p, c)
-        if _is_halt_position(p, c.ip):
-            return True
-    return False
+    return Run(x).halts_within(n)
 
 
 def halting_step(x: int, cap: int) -> int | None:
     """Exact number of transitions to halt, or None if still running after cap."""
-    p = decode_program(x)
-    c = initial_config(x)
-    for t in range(1, cap + 1):
-        c = step(p, c)
-        if _is_halt_position(p, c.ip):
-            return t
-    return None
+    run = Run(x)
+    return run.halted_at if run.halts_within(cap) else None
 
 
 def certify_loops_forever(x: int, state_cap: int = 100_000) -> bool:
     """True when the run provably never halts: the reachable configuration set
     is exhausted by a revisit without touching a HALT position."""
-    p = decode_program(x)
-    c = initial_config(x)
+    run = Run(x)
     seen = set()
-    for _ in range(state_cap):
+    for t in range(state_cap):
+        c = run.config
         key = (c.ip, c.r0, c.r1)
-        if _is_halt_position(p, c.ip):
-            return False
         if key in seen:
             return True
         seen.add(key)
-        c = step(p, c)
+        if run.halts_within(t + 1):
+            return False
     return False
