@@ -6,7 +6,11 @@ cycle witness and may therefore consume fuel.
 
 Four interchangeable views of the same relation are offered: the pair
 decider itself, per-block membership deciders, the enumeration of blocks in
-least-representative order, and the least-representative labeling.
+least-representative order, and the least-representative labeling.  A kind
+that knows the last two in closed form answers them itself through two
+optional hooks, _least_rep(x, fuel) and _next_member(x, fuel); BlockCache
+reads a hook first and rediscovers blocks with the decider only where one
+is missing (OpaqueEq, ImageEq, a decider-only CycleEqOf).
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from typing import Callable, Optional, Union
 from .core import (
     Exhausted,
     Fuel,
+    FuelExhausted,
     PreconditionViolation,
     unpair,
 )
@@ -28,7 +33,13 @@ from . import machine
 
 
 class FunExpr:
+    """A function whose fibres FibersOf turns into blocks.  _fibre_least and
+    _fibre_next, when a kind has them, are FibersOf's closed forms: the least
+    point of x's fibre, and the least point of it above x (None if none)."""
+
     kind = "fun"
+    _fibre_least = None
+    _fibre_next = None
 
     def __call__(self, x: int) -> int:
         raise NotImplementedError
@@ -67,12 +78,35 @@ class TableThenIdentity(FunExpr):
     """Finite override table; identity outside its domain."""
 
     kind = "table_then_identity"
+    # label -> sorted fibre, for the labels of keys; built on first use
+    _fibres: Optional[dict[int, list[int]]] = None
 
     def __init__(self, table: dict[int, int]):
         self.table = dict(table)
 
     def __call__(self, x: int) -> int:
         return self.table.get(x, x)
+
+    def _fibre(self, x: int) -> list[int]:
+        # the keys with x's label, and the label itself unless it is a key
+        if self._fibres is None:
+            fibres: dict[int, list[int]] = {}
+            for k, v in self.table.items():
+                fibres.setdefault(v, []).append(k)
+            for v, ks in fibres.items():
+                if v not in self.table:
+                    ks.append(v)
+                ks.sort()
+            self._fibres = fibres
+        return self._fibres.get(self.table.get(x, x), [x])
+
+    def _fibre_least(self, x: int, fuel: Fuel) -> int:
+        return self._fibre(x)[0]
+
+    def _fibre_next(self, x: int, fuel: Fuel) -> Optional[int]:
+        fib = self._fibre(x)
+        i = bisect.bisect_right(fib, x)
+        return fib[i] if i < len(fib) else None
 
 
 class HaltingLabel(FunExpr):
@@ -102,6 +136,14 @@ class HaltingLabel(FunExpr):
         if n == 0:
             return 1
         return 1 if self._halts(n - 1) else 0
+
+    def _fibre_least(self, n: int, fuel: Fuel) -> int:
+        # with h the halting step (h >= 1, or never), the "cf" fibres are
+        # {0, ..., h-1} and {h, h+1, ...}; the "nonpermutable" ones are
+        # {1, ..., h} and {0, h+1, h+2, ...}
+        if self.variant == "cf":
+            return self._run.halted_at if self._halts(n) else 0
+        return 1 if n > 0 and not self._halts(n - 1) else 0
 
 
 class ComposeFun(FunExpr):
@@ -134,7 +176,23 @@ class PairRight(FunExpr):
 
 
 class EqExpr:
+    """A decidable equivalence on N.
+
+    Optional closed forms, None where a kind has none (BlockCache then scans
+    with _decide):
+      _least_rep(x, fuel)    the least member of x's block
+      _next_member(x, fuel)  the least member of x's block above x, or None
+                             when the block has none
+    """
+
     kind = "eq"
+    _least_rep = None
+    _next_member = None
+    # (members, scanned, reps, rep_of), shared by every BlockCache over this
+    # node.  Ints only: a cache stored here would point back at the node, a
+    # cycle that only the collector frees.  A class-level None, because
+    # reading self.__dict__ instead slows every attribute load of the node.
+    _blocks = None
 
     def _decide(self, x: int, y: int, fuel: Fuel) -> bool:
         raise NotImplementedError
@@ -146,12 +204,24 @@ class Singletons(EqExpr):
     def _decide(self, x: int, y: int, fuel: Fuel) -> bool:
         return x == y
 
+    def _least_rep(self, x: int, fuel: Fuel) -> int:
+        return x
+
+    def _next_member(self, x: int, fuel: Fuel) -> Optional[int]:
+        return None
+
 
 class Full(EqExpr):
     kind = "full"
 
     def _decide(self, x: int, y: int, fuel: Fuel) -> bool:
         return True
+
+    def _least_rep(self, x: int, fuel: Fuel) -> int:
+        return 0
+
+    def _next_member(self, x: int, fuel: Fuel) -> Optional[int]:
+        return x + 1
 
 
 class Modulo(EqExpr):
@@ -165,6 +235,12 @@ class Modulo(EqExpr):
     def _decide(self, x: int, y: int, fuel: Fuel) -> bool:
         return x % self.m == y % self.m
 
+    def _least_rep(self, x: int, fuel: Fuel) -> int:
+        return x % self.m
+
+    def _next_member(self, x: int, fuel: Fuel) -> Optional[int]:
+        return x + self.m
+
 
 class FibersOf(EqExpr):
     kind = "fibers_of"
@@ -174,6 +250,14 @@ class FibersOf(EqExpr):
 
     def _decide(self, x: int, y: int, fuel: Fuel) -> bool:
         return self.fun(x) == self.fun(y)
+
+    @property
+    def _least_rep(self):
+        return self.fun._fibre_least
+
+    @property
+    def _next_member(self):
+        return self.fun._fibre_next
 
 
 class OpaqueEq(EqExpr):
@@ -236,6 +320,18 @@ class CycleEqOf(EqExpr):
     def _decide(self, x: int, y: int, fuel: Fuel) -> bool:
         return self._get_decider()(x, y, fuel)
 
+    @property
+    def _least_rep(self):
+        # a witness that yields the minimum of x's cycle is the closed form
+        from . import cycles as cyc
+        if self.strategy == "normal":
+            from .normalform import normal_min
+            return lambda x, fuel, _p=self.perm: normal_min(_p, x, fuel)
+        w = self.witness
+        if self.strategy == "attached" and w is not None and w.kind == cyc.MIN_REP:
+            return w.payload
+        return None
+
 
 class ImageEq(EqExpr):
     """The pushforward of a relation along a permutation h."""
@@ -247,9 +343,9 @@ class ImageEq(EqExpr):
         self.h = h
 
     def _decide(self, x: int, y: int, fuel: Fuel) -> bool:
-        from .permutation import perm_eval_inv
-        return self.base._decide(perm_eval_inv(self.h, x, fuel),
-                                 perm_eval_inv(self.h, y, fuel), fuel)
+        # h.bwd directly: the points are naturals, so perm_eval_inv's sign
+        # check has nothing to catch, and equivalence cannot import it
+        return self.base._decide(self.h.bwd(x, fuel), self.h.bwd(y, fuel), fuel)
 
 
 class CoproductEq(EqExpr):
@@ -303,6 +399,19 @@ class PiXY(EqExpr):
         if self.x == self.y:
             return False  # k = 0 already maps x to y
         return not self._reaches_within(max(i, j), fuel)
+
+    # With h the least |k| with f^k(x) = y (h >= 1 when x != y, or never),
+    # the blocks are {0, ..., h-1} and the singletons {i} for i >= h.
+
+    def _least_rep(self, i: int, fuel: Fuel) -> int:
+        if self.x == self.y or self._reaches_within(i, fuel):
+            return i
+        return 0
+
+    def _next_member(self, i: int, fuel: Fuel) -> Optional[int]:
+        if self.x == self.y or self._reaches_within(i + 1, fuel):
+            return None
+        return i + 1
 
 
 # ---------------------------------------------------------------------------
@@ -453,29 +562,46 @@ def is_isomorphism_on_window(theta, a: EqExpr, b: EqExpr, window: int,
 
 
 class BlockCache:
-    """Per-relation cache of block members discovered by linear scanning.
+    """Block questions about one relation: least representatives and the
+    increasing enumeration of each block.
 
-    Blocks are keyed by their least representative.  A point -> least
+    A kind's closed forms (_least_rep, _next_member) answer first.  Where
+    one is missing the cache scans with _decide.  A point -> least
     representative memo is filled by least_rep and by the block scans; it is
     sound because the relation is fixed, so a point's least representative
-    never changes, and a point seen once costs no further decides.  Every
-    decide a scan makes costs one unit of the caller's fuel, so a scan that
-    would only end under a violated caller obligation (next_greater on a
-    finite block) raises FuelExhausted.  The public methods make a Fuel()
+    never changes, and a point seen once costs no further work.  The memo,
+    the listed members of each block and the scan state live on the
+    relation node, so every BlockCache over one node shares them.
+
+    Fuel: every decide a scan makes, and every member a closed form lists,
+    costs one unit of the caller's fuel.  So a scan that would only end
+    under a violated caller obligation (next_greater on a finite block)
+    raises FuelExhausted; where a closed form proves there is no larger
+    member, the rest of the budget is spent at once, or PreconditionViolation
+    is raised under an unbounded Fuel.  The public methods make a Fuel()
     when called without one.
     """
 
     def __init__(self, eq: EqExpr):
         self.eq = eq
-        self._members: dict[int, list[int]] = {}
-        self._scanned: dict[int, int] = {}  # first natural not yet tested
-        self._reps: list[int] = []
-        self._rep_of: dict[int, int] = {}   # point -> least representative
+        self._least = eq._least_rep
+        self._next = eq._next_member
+        if eq._blocks is None:
+            eq._blocks = ({}, {}, [], {})
+        # lr -> sorted members listed so far; lr -> first natural a scan has
+        # not tested; the reps a scan found; point -> least representative
+        self._members, self._scanned, self._reps, self._rep_of = eq._blocks
 
     def least_rep(self, x: int, fuel: Optional[Fuel] = None) -> int:
         r = self._rep_of.get(x)
         if r is None:
-            r = self._find_least_rep(x, fuel or Fuel())
+            if self._least is None:
+                r = self._find_least_rep(x, fuel or Fuel())
+            else:
+                r = self._least(x, fuel or Fuel())
+                if r not in self._members:
+                    self._members[r] = [r]
+                    self._scanned[r] = r + 1
             self._rep_of[x] = r
         return r
 
@@ -500,6 +626,16 @@ class BlockCache:
 
     def _extend_to(self, lr: int, bound: int, fuel: Fuel) -> None:
         mem = self._members[lr]
+        if self._next is not None:
+            # list members until one reaches the bound or the block ends
+            while mem[-1] < bound:
+                y = self._next(mem[-1], fuel)
+                if y is None:
+                    return
+                fuel.spend()
+                mem.append(y)
+                self._rep_of[y] = lr
+            return
         y = self._scanned[lr]
         try:
             while y <= bound:
@@ -528,6 +664,14 @@ class BlockCache:
         idx = bisect.bisect_right(mem, x)
         if idx < len(mem):
             return mem[idx]
+        if self._next is not None:
+            y = self._next(x, fuel)
+            if y is None:
+                self._none_above(x, fuel)
+            fuel.spend()
+            mem.append(y)
+            self._rep_of[y] = lr
+            return y
         y = self._scanned[lr]
         while True:
             fuel.spend()
@@ -537,6 +681,15 @@ class BlockCache:
                 self._scanned[lr] = y + 1
                 return y
             y += 1
+
+    def _none_above(self, x: int, fuel: Fuel) -> None:
+        # the scan this replaces would test every point above x and find
+        # nothing: it spends the whole budget, or never returns
+        what = f"{self.eq.kind}: the block of {x} has no member above it"
+        if fuel.budget is None:
+            raise PreconditionViolation(what)
+        fuel.used = max(fuel.used, fuel.budget)
+        raise FuelExhausted(f"probe budget of {fuel.budget} exhausted ({what})")
 
     def member_index(self, x: int, fuel: Optional[Fuel] = None) -> int:
         """Index of x in the increasing enumeration of its block."""

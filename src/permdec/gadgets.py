@@ -51,21 +51,26 @@ class RhoHaltingCF(RhoExpr):
     a halting program is exactly {0, ..., h-1}, so index n has a larger
     blockmate iff the run is still going at n+1.
 
-    The node keeps one resumable machine.Run per program code it was asked
-    about, so a walk over indices 0..n of one code costs about n machine
-    transitions in all, not one simulation from step 0 per query."""
+    The answers come from the resumable machine.Run of each code's
+    HaltingLabel in a "cf" HaltingFamily, so a walk over indices 0..n of one
+    code costs about n machine transitions in all.  Inside a CoproductPerm
+    over such a family that family is the coproduct's own, and the block
+    enumeration and the rho simulate each transition once between them."""
 
     kind = "rho_halting_cf"
     rho_kind = "coproduct_greater"
 
-    def __init__(self):
-        self._runs: dict[int, machine.Run] = {}
+    def __init__(self, family: Optional[HaltingFamily] = None):
+        self.family = family if family is not None else HaltingFamily("cf")
+
+    def for_family(self, family: FamilyExpr) -> "RhoHaltingCF":
+        if isinstance(family, HaltingFamily) and family.variant == "cf":
+            return RhoHaltingCF(family)
+        return self
 
     def __call__(self, n: int, fuel: Optional[Fuel] = None) -> bool:
         x, i = unpair(n)
-        run = self._runs.get(x)
-        if run is None:
-            run = self._runs[x] = machine.Run(x)
+        run = self.family.member(x).fun._run
         if run.halts_within(i):
             return True          # halted block is the infinite tail
         return not run.halts_within(i + 1)

@@ -322,6 +322,12 @@ class RhoExpr:
     def __call__(self, x: int, fuel: Optional[Fuel] = None) -> int:
         raise NotImplementedError
 
+    def for_family(self, family: FamilyExpr) -> "RhoExpr":
+        """This rho as CoproductPerm(family, self) asks it.  A kind whose
+        answers come from state that family's members also keep returns a
+        copy reading theirs; the default is the rho itself."""
+        return self
+
 
 def _rho_query(rho) -> Callable[[int, Fuel], int]:
     """rho as a (point, fuel) query.  A RhoExpr takes the fuel; any other
@@ -424,7 +430,7 @@ class CoproductPerm(PermExpr):
     def __init__(self, family: FamilyExpr, rho):
         self.family = family
         self.rho = rho
-        self._rho = _rho_query(rho)
+        self._rho = _rho_query(rho.for_family(family) if isinstance(rho, RhoExpr) else rho)
         self._parts: dict[int, FromRho] = {}
 
     def _part(self, z: int) -> FromRho:

@@ -206,9 +206,9 @@ WALK = 100
 def test_cf_hard_perm_walk_makes_linear_machine_work(monkeypatch):
     # FromRho moves an element of index k to index k + 2 (or k - 2) of its
     # block, so WALK steps from <looper, 0> reach index 2 * WALK.  The block
-    # scan's HaltingLabel and the rho's Run each simulate up to about two
-    # transitions past the highest index; from step 0 per query, the same
-    # walk costs tens of thousands.
+    # scan's HaltingLabel and the rho share one Run per code, which simulates
+    # up to about two transitions past the highest index; from step 0 per
+    # query, the same walk costs tens of thousands.
     looper = gd.looping_fixtures()[0][1]
     calls = _count_steps(monkeypatch)
     counts = []
@@ -222,5 +222,7 @@ def test_cf_hard_perm_walk_makes_linear_machine_work(monkeypatch):
         counts.append(calls[0])
     # every transition goes through machine.step, and only the needed ones
     assert 2 * WALK <= counts[0] <= 2 * (2 * WALK + 2)
+    # each transition is simulated once, not once per Run
+    assert counts[0] <= 2 * WALK + 2 + 8
     # a second fresh load pays again: no simulation is shared between loads
     assert counts[1] == counts[0]
