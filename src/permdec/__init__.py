@@ -2,7 +2,9 @@
 
 Expression algebras for equivalence relations and permutations, normal-form
 machinery, conjugator synthesis, halting-based hardness gadgets, and decider
-propagation through finitary products.
+propagation through finitary products.  The names below are the ones the
+demos, the README and the benchmark use; everything else is imported from
+its module.
 """
 
 from .core import (
@@ -11,45 +13,27 @@ from .core import (
     Fuel,
     FuelExhausted,
     PreconditionViolation,
-    SearchOutcome,
-    delta,
-    delta_inv,
-    mu_search,
-    pack3,
     pair,
-    unpack3,
     unpair,
-    xi_search,
 )
 from .equivalence import (
     BlockCache,
-    BlockDecider,
-    ConstFun,
-    ConstantFamily,
-    CoproductEq,
     CycleEqOf,
     EqExpr,
-    FamilyExpr,
     FibersOf,
     Full,
-    FunExpr,
-    HaltingFamily,
     HaltingLabel,
-    IdentityFun,
     ImageEq,
     ModFun,
     Modulo,
     OpaqueEq,
     PiXY,
-    PiXYFamily,
     Singletons,
     TableThenIdentity,
     block_decider,
     block_index,
-    coproduct,
     enumerate_block,
     eq_decide,
-    eq_image,
     is_isomorphism_on_window,
     least_representative,
     nth_block_decider,
@@ -57,7 +41,6 @@ from .equivalence import (
 from .permutation import (
     Compose,
     ConjugatorSamePartition,
-    CoproductPerm,
     DeltaSucc,
     FinitaryProduct,
     FromRho,
@@ -80,71 +63,26 @@ from .permutation import (
     perm_power,
     window_bijection_check,
 )
-from .cycles import (
-    CHAR_VALUE,
-    DECIDER,
-    KINDS,
-    MIN_REP,
-    TRANSVERSAL,
-    UNIQUE_REP,
-    CycleWitness,
-    decider_few_infinite,
-    decider_one_infinite,
-    reachability_semidecider,
-    witness_convert,
-)
+from .cycles import DECIDER, CycleWitness
 from .normalform import (
-    CycleVerdict,
-    NormalityReport,
     RhoCardConst,
-    RhoCardForBlocks,
-    RhoClosure,
     RhoConst,
-    RhoExpr,
-    RhoFromNormal,
     SeminormalToNormal,
-    build_cycle_from_set,
     decider_from_normal,
-    finite_union_check,
     normal_min,
-    normal_min_with_probes,
     normality_report,
     normalize,
     perm_from_rho,
-    rho_for_constant_cardinality,
-    rho_for_finitely_many_blocks,
-    rho_from_perm,
-    seminormal_cf_decider,
     seminormal_from_rho,
-    seminormal_to_normal,
     witness_to_eq,
 )
-from .conjugacy import (
-    conjugate_perm,
-    conjugator_from_isomorphism,
-    conjugator_same_partition,
-)
+from .conjugacy import conjugator_same_partition
 from .gadgets import (
     ConjReductionPerm,
     InterredCFPerm,
     OddLengthGadget,
-    RhoHaltingCF,
-    RhoPiXY,
     cf_hard_perm,
-    conj_reduction_perm,
     halting_equivalence,
-    halting_family,
-    halting_fixtures,
-    looping_fixtures,
-    odd_length_gadget,
-    reduce_cd_to_cf,
-    reduce_cf_to_cd,
 )
-from .products import (
-    cf_from_product_deciders,
-    finitary_product,
-    transposition_times,
-    transposition_times_cf,
-)
-from .serialize import SerializationError, dump, dumps, from_jsonable, load, loads, to_jsonable
+from .products import finitary_product
 from . import machine

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core import Exhausted, Fuel, FuelExhausted, PreconditionViolation, delta_inv, pair
+from .core import Fuel, FuelExhausted, PreconditionViolation, delta_inv
 from .equivalence import EqExpr, eq_decide
 from .permutation import (
     OrbitCache,

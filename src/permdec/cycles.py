@@ -8,8 +8,9 @@ kinds of evidence.  Conversions run along two loops:
 
 Only transversal -> decider genuinely searches (it dovetails the orbits of
 all enumerated representatives) and hence consumes fuel.  Every payload
-takes the caller's fuel as an optional last argument, except a
-transversal's, and makes a Fuel() when called without one.
+takes the caller's fuel as an optional last argument, and makes a Fuel()
+when called without one; a converted payload passes its caller's fuel on
+to the payload it was converted from.
 """
 
 from __future__ import annotations
@@ -62,10 +63,11 @@ def _convert_step(w: CycleWitness, target: str) -> CycleWitness:
 
         return CycleWitness(MIN_REP, min_rep, f)
 
-    if w.kind == MIN_REP and target == UNIQUE_REP:
-        return CycleWitness(UNIQUE_REP, w.payload, f)
-    if w.kind == UNIQUE_REP and target == CHAR_VALUE:
-        return CycleWitness(CHAR_VALUE, w.payload, f)
+    # a minimum is a unique representative, a characteristic value, and
+    # the representative of the e-th cycle when e enumerates the naturals
+    if (w.kind, target) in ((MIN_REP, UNIQUE_REP), (UNIQUE_REP, CHAR_VALUE),
+                            (MIN_REP, TRANSVERSAL)):
+        return CycleWitness(target, w.payload, f)
 
     if w.kind == CHAR_VALUE and target == MIN_REP:
         chi = w.payload
@@ -79,10 +81,6 @@ def _convert_step(w: CycleWitness, target: str) -> CycleWitness:
             raise AssertionError("unreachable")  # pragma: no cover
 
         return CycleWitness(MIN_REP, min_rep, f)
-
-    if w.kind == MIN_REP and target == TRANSVERSAL:
-        mu = w.payload
-        return CycleWitness(TRANSVERSAL, lambda e: mu(e), f)
 
     if w.kind == TRANSVERSAL and target == DECIDER:
         rho = w.payload
@@ -99,7 +97,7 @@ def _convert_step(w: CycleWitness, target: str) -> CycleWitness:
                 n = state["n"]
                 e, j = unpair(n)
                 if e not in reps:
-                    reps[e] = rho(e)
+                    reps[e] = rho(e, fu)
                 found.setdefault(orbits.value(reps[e], delta_inv(j), fu), reps[e])
                 state["n"] = n + 1
             return found[x]

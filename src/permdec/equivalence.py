@@ -146,31 +146,6 @@ class HaltingLabel(FunExpr):
         return 1 if n > 0 and not self._halts(n - 1) else 0
 
 
-class ComposeFun(FunExpr):
-    kind = "compose_fun"
-
-    def __init__(self, outer: FunExpr, inner: FunExpr):
-        self.outer = outer
-        self.inner = inner
-
-    def __call__(self, x: int) -> int:
-        return self.outer(self.inner(x))
-
-
-class PairLeft(FunExpr):
-    kind = "pair_left"
-
-    def __call__(self, x: int) -> int:
-        return unpair(x)[0]
-
-
-class PairRight(FunExpr):
-    kind = "pair_right"
-
-    def __call__(self, x: int) -> int:
-        return unpair(x)[1]
-
-
 # ---------------------------------------------------------------------------
 # equivalence expressions
 
@@ -535,14 +510,6 @@ def enumerate_block(eq: EqExpr, i: int, count: int, fuel: Fuel) -> Union[list[in
             out.append(y)
         y += 1
     return out
-
-
-def eq_image(eq: EqExpr, h) -> EqExpr:
-    return ImageEq(eq, h)
-
-
-def coproduct(family: FamilyExpr) -> EqExpr:
-    return CoproductEq(family)
 
 
 def is_isomorphism_on_window(theta, a: EqExpr, b: EqExpr, window: int,

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .core import Fuel, pack3, pair, unpack3, unpair
+from .core import Fuel, pack3, pair, unpack3
 from . import machine
 from .equivalence import (
     BlockCache,
     CoproductEq,
     CycleEqOf,
     EqExpr,
-    FamilyExpr,
+    FibersOf,
     HaltingFamily,
+    PiXY,
     PiXYFamily,
 )
 from .permutation import (
@@ -37,40 +38,27 @@ from . import cycles as cyc
 # halting equivalences and the cycle-finiteness-hard permutation
 
 
-def halting_family(variant: str = "cf") -> FamilyExpr:
-    return HaltingFamily(variant)
-
-
 def halting_equivalence(variant: str = "cf") -> EqExpr:
     return CoproductEq(HaltingFamily(variant))
 
 
 class RhoHaltingCF(RhoExpr):
-    """Greater-element predicate for the step-label coproduct, decided by
-    simulating one step past the queried index: the not-yet-halted block of
-    a halting program is exactly {0, ..., h-1}, so index n has a larger
-    blockmate iff the run is still going at n+1.
+    """Greater-element predicate for a member FibersOf(HaltingLabel("cf",
+    x)) of the step-label coproduct, decided by simulating one step past
+    the queried index: the not-yet-halted block of a halting program is
+    exactly {0, ..., h-1}, so index i has a larger blockmate iff the run is
+    still going at i+1.
 
-    The answers come from the resumable machine.Run of each code's
-    HaltingLabel in a "cf" HaltingFamily, so a walk over indices 0..n of one
-    code costs about n machine transitions in all.  Inside a CoproductPerm
-    over such a family that family is the coproduct's own, and the block
-    enumeration and the rho simulate each transition once between them."""
+    The answers come from the member's own resumable machine.Run, so a walk
+    over indices 0..n of one code costs about n machine transitions in
+    all, and the block enumeration and the rho simulate each transition
+    once between them."""
 
     kind = "rho_halting_cf"
     rho_kind = "coproduct_greater"
 
-    def __init__(self, family: Optional[HaltingFamily] = None):
-        self.family = family if family is not None else HaltingFamily("cf")
-
-    def for_family(self, family: FamilyExpr) -> "RhoHaltingCF":
-        if isinstance(family, HaltingFamily) and family.variant == "cf":
-            return RhoHaltingCF(family)
-        return self
-
-    def __call__(self, n: int, fuel: Optional[Fuel] = None) -> bool:
-        x, i = unpair(n)
-        run = self.family.member(x).fun._run
+    def __call__(self, eq: FibersOf, i: int, fuel: Optional[Fuel] = None) -> bool:
+        run = eq.fun._run
         if run.halts_within(i):
             return True          # halted block is the infinite tail
         return not run.halts_within(i + 1)
@@ -181,37 +169,30 @@ def odd_length_gadget(g: PermExpr) -> tuple[PermExpr, Callable[[int], int]]:
 
 class RhoPiXY(RhoExpr):
     """Coproduct greater-element rule for the power-window family: index i
-    of the (x, y) component has a larger blockmate iff i+1 is still related
-    to i, i.e. no power within the widened window maps x to y."""
+    of a member PiXY(f, x, y) has a larger blockmate iff i+1 is still
+    related to i, i.e. no power within the widened window maps x to y."""
 
     kind = "rho_pi_xy"
     rho_kind = "coproduct_greater"
 
-    def __init__(self, f: PermExpr, family: Optional[PiXYFamily] = None):
+    def __init__(self, f: PermExpr):
         self.f = f
-        self.family = family if family is not None else PiXYFamily(f)
 
-    def __call__(self, n: int, fuel: Optional[Fuel] = None) -> bool:
-        z, i = unpair(n)
-        return self.family.member(z)._decide(i + 1, i, fuel or Fuel())
+    def __call__(self, eq: PiXY, i: int, fuel: Optional[Fuel] = None) -> bool:
+        if fuel is None:
+            fuel = Fuel()
+        return eq._decide(i + 1, i, fuel)
 
 
-class InterredCFPerm(PermExpr):
+class InterredCFPerm(CoproductPerm):
     """The coproduct permutation whose cycle at <<x,y>, 0> is finite exactly
     when some power of f maps x to y."""
 
     kind = "interred_cf"
 
     def __init__(self, f: PermExpr):
+        super().__init__(PiXYFamily(f), RhoPiXY(f))
         self.f = f
-        self.family = PiXYFamily(f)
-        self._inner = CoproductPerm(self.family, RhoPiXY(f, self.family))
-
-    def fwd(self, n: int, fuel: Fuel) -> int:
-        return self._inner.fwd(n, fuel)
-
-    def bwd(self, n: int, fuel: Fuel) -> int:
-        return self._inner.bwd(n, fuel)
 
 
 def cd_embed(x: int, y: int) -> int:

@@ -14,7 +14,7 @@ constructible; both directions of that correspondence live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import Callable, Optional, Union
 
@@ -146,15 +146,6 @@ class RhoCardForBlocks(RhoExpr):
             if self.eq._decide(rep, x, fuel):
                 return card
         raise PreconditionViolation("representative table does not cover all blocks")
-
-
-def rho_for_finitely_many_blocks(eq: EqExpr,
-                                 reps_with_cards: list[tuple[int, int]]) -> RhoExpr:
-    return RhoCardForBlocks(eq, reps_with_cards)
-
-
-def rho_for_constant_cardinality(c: int) -> RhoExpr:
-    return RhoCardConst(c)
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +377,6 @@ class SeminormalToNormal(PermExpr):
             return self.f.bwd(x, fuel)
         members = self._cycle_sorted(x, fuel)
         return members[_normal_bwd_index(members.index(x), len(members))]
-
-
-def seminormal_to_normal(f: PermExpr) -> PermExpr:
-    return SeminormalToNormal(f)
 
 
 # ---------------------------------------------------------------------------

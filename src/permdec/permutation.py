@@ -8,8 +8,8 @@ per-node member cache; caches are invisible to callers.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
+from functools import partial
 from itertools import count
 from typing import Callable, Optional
 
@@ -269,52 +269,28 @@ class NormalFromSet(PermExpr):
     def __init__(self, eq: EqExpr, rep: int):
         self.eq = eq
         self.rep = rep
-        self._mem: list[int] = []
-        self._scan = 0
+        self._cache = BlockCache(eq)
 
-    def _member(self, x: int, fuel: Fuel) -> bool:
-        return self.eq._decide(self.rep, x, fuel)
-
-    def _ensure_through(self, v: int, fuel: Fuel) -> None:
-        while self._scan <= v:
-            if self._member(self._scan, fuel):
-                self._mem.append(self._scan)
-            self._scan += 1
-
-    def _ensure_count(self, n: int, fuel: Fuel) -> None:
-        while len(self._mem) < n:
-            fuel.spend()
-            if self._member(self._scan, fuel):
-                self._mem.append(self._scan)
-            self._scan += 1
-
-    def _index_of(self, x: int, fuel: Fuel) -> int:
-        self._ensure_through(x, fuel)
-        i = bisect.bisect_left(self._mem, x)
-        assert self._mem[i] == x
-        return i
-
-    def _at(self, j: int, fuel: Fuel) -> int:
-        self._ensure_count(j + 1, fuel)
-        return self._mem[j]
+    def _map(self, x: int, step: int, fuel: Fuel) -> int:
+        if not self.eq._decide(self.rep, x, fuel):
+            return x
+        lr = self._cache.least_rep(x, fuel)
+        i = self._cache.member_index(x, fuel)
+        return self._cache.nth_member(lr, delta(delta_inv(i) + step), fuel)
 
     def fwd(self, x: int, fuel: Fuel) -> int:
-        if not self._member(x, fuel):
-            return x
-        i = self._index_of(x, fuel)
-        return self._at(delta(delta_inv(i) + 1), fuel)
+        return self._map(x, 1, fuel)
 
     def bwd(self, x: int, fuel: Fuel) -> int:
-        if not self._member(x, fuel):
-            return x
-        i = self._index_of(x, fuel)
-        return self._at(delta(delta_inv(i) - 1), fuel)
+        return self._map(x, -1, fuel)
 
 
 class RhoExpr:
     """A rho query, asked per point with the caller's fuel: "does x's block
     hold a larger element" (rho_kind "greater") or "how big is x's block, 0
-    meaning infinite" ("cardinality")."""
+    meaning infinite" ("cardinality").  A "coproduct_greater" rho answers
+    the first question about one member relation of a coproduct, and is
+    asked rho(eq, x, fuel) with that member as eq."""
 
     kind = "rho"
     rho_kind = "greater"  # or "cardinality", "coproduct_greater"
@@ -322,17 +298,16 @@ class RhoExpr:
     def __call__(self, x: int, fuel: Optional[Fuel] = None) -> int:
         raise NotImplementedError
 
-    def for_family(self, family: FamilyExpr) -> "RhoExpr":
-        """This rho as CoproductPerm(family, self) asks it.  A kind whose
-        answers come from state that family's members also keep returns a
-        copy reading theirs; the default is the rho itself."""
-        return self
 
-
-def _rho_query(rho) -> Callable[[int, Fuel], int]:
-    """rho as a (point, fuel) query.  A RhoExpr takes the fuel; any other
-    callable is a plain predicate of the point."""
-    return rho if isinstance(rho, RhoExpr) else (lambda x, fuel: rho(x))
+def _rho_query(rho, eq: EqExpr) -> Callable[[int, Fuel], int]:
+    """rho as a (point, fuel) query about eq.  A RhoExpr takes the fuel, a
+    coproduct one eq as well; any other callable is a plain predicate of
+    the point."""
+    if not isinstance(rho, RhoExpr):
+        return lambda x, fuel: rho(x)
+    if rho.rho_kind == "coproduct_greater":
+        return partial(rho, eq)
+    return rho
 
 
 class FromRho(PermExpr):
@@ -349,7 +324,7 @@ class FromRho(PermExpr):
     def __init__(self, eq: EqExpr, rho):
         self.eq = eq
         self.rho = rho
-        self._rho = _rho_query(rho)
+        self._rho = _rho_query(rho, eq)
         self._cache = BlockCache(eq)
 
     def fwd(self, x: int, fuel: Fuel) -> int:
@@ -389,7 +364,7 @@ class SeminormalFromRho(PermExpr):
     def __init__(self, eq: EqExpr, rho):
         self.eq = eq
         self.rho = rho
-        self._rho = _rho_query(rho)
+        self._rho = _rho_query(rho, eq)
         self._cache = BlockCache(eq)
 
     def _map(self, x: int, step: int, fuel: Fuel) -> int:
@@ -410,33 +385,25 @@ class SeminormalFromRho(PermExpr):
         return self._map(x, -1, fuel)
 
 
-class _SectionRho(RhoExpr):
-    """A coproduct rho query restricted to one index."""
-
-    def __init__(self, rho: Callable[[int, Fuel], int], z: int):
-        self.rho = rho
-        self.z = z
-
-    def __call__(self, x: int, fuel: Optional[Fuel] = None) -> int:
-        return self.rho(pair(self.z, x), fuel)
-
-
 class CoproductPerm(PermExpr):
-    """Glue per-index normal permutations over pair codes:
-    <z, x> maps to <z, f_z(x)> with f_z built from the sliced rho."""
+    """Glue per-index normal permutations over pair codes: <z, x> maps to
+    <z, f_z(x)>, with f_z the FromRho of member z and the coproduct rho
+    asked about that member."""
 
     kind = "coproduct_perm"
 
-    def __init__(self, family: FamilyExpr, rho):
+    def __init__(self, family: FamilyExpr, rho: RhoExpr):
+        if not isinstance(rho, RhoExpr) or rho.rho_kind != "coproduct_greater":
+            raise ValueError("CoproductPerm needs a coproduct_greater rho")
         self.family = family
         self.rho = rho
-        self._rho = _rho_query(rho.for_family(family) if isinstance(rho, RhoExpr) else rho)
         self._parts: dict[int, FromRho] = {}
 
     def _part(self, z: int) -> FromRho:
-        if z not in self._parts:
-            self._parts[z] = FromRho(self.family.member(z), _SectionRho(self._rho, z))
-        return self._parts[z]
+        part = self._parts.get(z)
+        if part is None:
+            part = self._parts[z] = FromRho(self.family.member(z), self.rho)
+        return part
 
     def fwd(self, n: int, fuel: Fuel) -> int:
         z, x = unpair(n)

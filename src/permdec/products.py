@@ -19,7 +19,6 @@ from typing import Callable, Optional
 from .core import Fuel
 from .permutation import (
     Compose,
-    FinitaryProduct,
     Inverse,
     OrbitCache,
     PermExpr,

@@ -16,7 +16,6 @@ from .core import (
     Exhausted,
     Found,
     Fuel,
-    FuelExhausted,
     delta,
     delta_inv,
     mu_search,
@@ -27,7 +26,6 @@ from .core import (
     xi_search,
 )
 from .equivalence import (
-    BlockCache,
     CycleEqOf,
     EqExpr,
     FibersOf,

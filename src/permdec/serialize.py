@@ -76,11 +76,6 @@ _ENCODERS = {
         "table": [[_n(k), _n(v)] for k, v in sorted(e.table.items())]},
     eqm.HaltingLabel: lambda e: {"kind": "halting_label",
                                  "variant": e.variant, "code": _n(e.code)},
-    eqm.ComposeFun: lambda e: {"kind": "compose_fun",
-                               "outer": to_jsonable(e.outer),
-                               "inner": to_jsonable(e.inner)},
-    eqm.PairLeft: lambda e: {"kind": "pair_left"},
-    eqm.PairRight: lambda e: {"kind": "pair_right"},
     # equivalences
     eqm.Singletons: lambda e: {"kind": "singletons"},
     eqm.Full: lambda e: {"kind": "full"},
@@ -164,7 +159,7 @@ def from_jsonable(d: Any) -> Any:
         raise SerializationError(f"unknown kind {d['kind']!r}")
     try:
         return dec(d)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed {d['kind']!r} node: {exc}")
 
 
@@ -175,10 +170,6 @@ _DECODERS = {
     "table_then_identity": lambda d: eqm.TableThenIdentity(
         {_i(k): _i(v) for k, v in d["table"]}),
     "halting_label": lambda d: eqm.HaltingLabel(d["variant"], _i(d["code"])),
-    "compose_fun": lambda d: eqm.ComposeFun(from_jsonable(d["outer"]),
-                                            from_jsonable(d["inner"])),
-    "pair_left": lambda d: eqm.PairLeft(),
-    "pair_right": lambda d: eqm.PairRight(),
     "singletons": lambda d: eqm.Singletons(),
     "full": lambda d: eqm.Full(),
     "modulo": lambda d: eqm.Modulo(_i(d["m"])),

@@ -45,6 +45,7 @@ from permdec import (
     perm_eval,
     perm_eval_inv,
 )
+from permdec import cycles as cyc
 from permdec import serialize
 from permdec.selfcheck import evens_odds
 
@@ -125,6 +126,37 @@ def test_from_rho_charges_the_callers_fuel():
         perm_eval(FromRho(Modulo(3), RhoConst(True)), 300000, Fuel(1))
     fuel = Fuel(10**6)
     assert perm_eval(FromRho(Modulo(3), RhoConst(True)), 300000, fuel) == 300006
+    assert fuel.used > 0
+
+
+def test_normal_from_set_charges_the_callers_fuel():
+    # a far point's index in its block is found by listing the members below
+    # it, one unit each, so a small budget runs out at once
+    fuel = Fuel(10)
+    with pytest.raises(FuelExhausted):
+        perm_eval(NormalFromSet(Modulo(2), 0), 10**6, fuel)
+    assert fuel.used == 10
+    assert perm_eval(NormalFromSet(Modulo(2), 0), 1000, Fuel(10**4)) == 1004
+
+
+def test_a_converted_decider_makes_no_fuel_below_the_top(monkeypatch):
+    made = []
+    init = Fuel.__init__
+
+    def counting(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    # ZIG's cycles: the evens, and each odd number alone
+    truth = lambda x, y, fu=None: x == y or x % 2 == y % 2 == 0
+    w = cyc.witness_convert(cyc.CycleWitness(cyc.DECIDER, truth, ZIG), cyc.TRANSVERSAL)
+    decider = cyc.witness_convert(w, cyc.DECIDER).payload
+    fuel = Fuel()
+    monkeypatch.setattr(Fuel, "__init__", counting)
+    for x in range(12):
+        for y in range(12):
+            assert decider(x, y, fuel) == truth(x, y)
+    assert made == []
     assert fuel.used > 0
 
 

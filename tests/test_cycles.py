@@ -91,7 +91,7 @@ def test_char_value_back_to_min_rep():
 
 
 def test_transversal_decider_consumes_fuel():
-    w = cyc.CycleWitness(cyc.TRANSVERSAL, lambda e: 0, even_zigzag())
+    w = cyc.CycleWitness(cyc.TRANSVERSAL, lambda e, fu=None: 0, even_zigzag())
     d = cyc.witness_convert(w, cyc.DECIDER)
     fuel = Fuel(100_000)
     assert d.payload(0, 4, fuel)

@@ -19,10 +19,8 @@ from permdec import (
     TableThenIdentity,
     block_decider,
     block_index,
-    coproduct,
     enumerate_block,
     eq_decide,
-    eq_image,
     even_zigzag,
     halting_equivalence,
     is_isomorphism_on_window,
@@ -32,7 +30,7 @@ from permdec import (
     perm_eval,
     perm_eval_inv,
 )
-from permdec.equivalence import ConstantFamily
+from permdec.equivalence import ConstantFamily, CoproductEq
 
 
 def test_modulo_blocks():
@@ -85,14 +83,14 @@ def test_full_and_singletons():
 
 def test_image_relabels_blocks():
     h = FinitaryProduct([(0, 5)])
-    eq = eq_image(Modulo(2), h)
+    eq = ImageEq(Modulo(2), h)
     # 0's block member status travels through h: 5 now sits where 0 was
     assert eq_decide(eq, 5, 2)
     assert not eq_decide(eq, 0, 2)
 
 
 def test_coproduct_relates_only_matching_indices():
-    eq = coproduct(ConstantFamily(Modulo(2)))
+    eq = CoproductEq(ConstantFamily(Modulo(2)))
     assert eq_decide(eq, pair(3, 0), pair(3, 2))
     assert not eq_decide(eq, pair(3, 0), pair(4, 0))
     assert not eq_decide(eq, pair(3, 0), pair(3, 1))

@@ -73,7 +73,7 @@ def test_rho_kind_validation():
 
 
 def test_rho_for_finitely_many_blocks():
-    rho = nf.rho_for_finitely_many_blocks(Modulo(2), [(0, 0), (1, 0)])
+    rho = nf.RhoCardForBlocks(Modulo(2), [(0, 0), (1, 0)])
     p = nf.seminormal_from_rho(Modulo(2), rho)
     g = even_zigzag()
     assert all(perm_eval(p, x) == perm_eval(g, x) for x in range(0, 60, 2))
@@ -118,7 +118,7 @@ def test_normal_min_examples_and_probe_bound():
 def test_normal_min_on_finite_cycles():
     # normal 3-cycle 1->5->3->1 written directly
     f = FinitaryProduct([(1, 5), (5, 3)])
-    fp = nf.seminormal_to_normal(f)
+    fp = nf.SeminormalToNormal(f)
     m, probes = nf.normal_min_with_probes(fp, 3)
     assert m == 1
     assert nf.normal_min(fp, 5) == 1
@@ -135,7 +135,7 @@ def test_seminormal_cf_decider():
     # seminormal: finite cycles increase, plus the infinite even cycle
     from permdec.selfcheck import evens_odds
     eq = OpaqueEq(lambda x, y: x // 3 == y // 3)
-    p = nf.seminormal_from_rho(eq, nf.rho_for_constant_cardinality(3))
+    p = nf.seminormal_from_rho(eq, nf.RhoCardConst(3))
     fin = nf.seminormal_cf_decider(p)
     assert fin(0) and fin(4) and fin(11)
     fin2 = nf.seminormal_cf_decider(even_zigzag())
@@ -145,8 +145,8 @@ def test_seminormal_cf_decider():
 
 def test_seminormal_to_normal():
     eq = OpaqueEq(lambda x, y: x // 4 == y // 4)
-    p = nf.seminormal_from_rho(eq, nf.rho_for_constant_cardinality(4))
-    q = nf.seminormal_to_normal(p)
+    p = nf.seminormal_from_rho(eq, nf.RhoCardConst(4))
+    q = nf.SeminormalToNormal(p)
     # block {0,1,2,3}: normal order visits 0,1,2,3 at powers 0,-1,1,-2
     assert perm_eval(q, 0) == 2
     assert perm_eval_inv(q, 0) == 1
@@ -160,7 +160,7 @@ def test_normality_report_verdicts():
     rep = nf.normality_report(even_zigzag(), 40)
     assert rep.all_normal and rep.clean
     eq = OpaqueEq(lambda x, y: x // 3 == y // 3)
-    semi = nf.seminormal_from_rho(eq, nf.rho_for_constant_cardinality(3))
+    semi = nf.seminormal_from_rho(eq, nf.RhoCardConst(3))
     rep2 = nf.normality_report(semi, 20)
     assert rep2.clean and not rep2.all_normal
     assert any(e.verdict == "seminormal-finite" for e in rep2.entries)

@@ -63,6 +63,18 @@ def test_roundtrip_preserves_structure(obj):
     assert dumps(back) == text
 
 
+@pytest.mark.parametrize("text", [
+    '{"kind": "pair_left"}',
+    '{"kind": "pair_right"}',
+    '{"kind": "compose_fun", "outer": {"kind": "mod", "m": "2"}, '
+    '"inner": {"kind": "identity_fun"}}',
+    '{"kind": "fibers_of", "fun": {"kind": "pair_left"}}',
+], ids=["pair_left", "pair_right", "compose_fun", "nested"])
+def test_removed_function_kinds_fail_to_load(text):
+    with pytest.raises(SerializationError, match="unknown kind"):
+        loads(text)
+
+
 def test_halting_blocks_loads_as_the_halting_coproduct():
     eq = loads('{"kind": "halting_blocks", "variant": "cf"}')
     assert dumps(eq) == dumps(gd.halting_equivalence("cf"))
