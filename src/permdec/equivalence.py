@@ -35,13 +35,14 @@ from . import machine
 class FunExpr:
     """A function whose fibres FibersOf turns into blocks.  _fibre_least and
     _fibre_next, when a kind has them, are FibersOf's closed forms: the least
-    point of x's fibre, and the least point of it above x (None if none)."""
+    point of x's fibre, and the least point of it above x (None if none).
+    fuel pays for a label that costs work: HaltingLabel's simulation."""
 
     kind = "fun"
     _fibre_least = None
     _fibre_next = None
 
-    def __call__(self, x: int) -> int:
+    def __call__(self, x: int, fuel: Optional[Fuel] = None) -> int:
         raise NotImplementedError
 
 
@@ -51,14 +52,14 @@ class ConstFun(FunExpr):
     def __init__(self, c: int):
         self.c = c
 
-    def __call__(self, x: int) -> int:
+    def __call__(self, x: int, fuel: Optional[Fuel] = None) -> int:
         return self.c
 
 
 class IdentityFun(FunExpr):
     kind = "identity_fun"
 
-    def __call__(self, x: int) -> int:
+    def __call__(self, x: int, fuel: Optional[Fuel] = None) -> int:
         return x
 
 
@@ -70,7 +71,7 @@ class ModFun(FunExpr):
             raise ValueError("modulus must be >= 1")
         self.m = m
 
-    def __call__(self, x: int) -> int:
+    def __call__(self, x: int, fuel: Optional[Fuel] = None) -> int:
         return x % self.m
 
 
@@ -84,7 +85,7 @@ class TableThenIdentity(FunExpr):
     def __init__(self, table: dict[int, int]):
         self.table = dict(table)
 
-    def __call__(self, x: int) -> int:
+    def __call__(self, x: int, fuel: Optional[Fuel] = None) -> int:
         return self.table.get(x, x)
 
     def _fibre(self, x: int) -> list[int]:
@@ -127,23 +128,21 @@ class HaltingLabel(FunExpr):
         self.code = code
         self._run = machine.Run(code)
 
-    def _halts(self, n: int) -> bool:
-        return self._run.halts_within(n)
-
-    def __call__(self, n: int) -> int:
+    def __call__(self, n: int, fuel: Optional[Fuel] = None) -> int:
         if self.variant == "cf":
-            return 1 if self._halts(n) else 0
+            return 1 if self._run.halts_within(n, fuel) else 0
         if n == 0:
             return 1
-        return 1 if self._halts(n - 1) else 0
+        return 1 if self._run.halts_within(n - 1, fuel) else 0
 
     def _fibre_least(self, n: int, fuel: Fuel) -> int:
         # with h the halting step (h >= 1, or never), the "cf" fibres are
         # {0, ..., h-1} and {h, h+1, ...}; the "nonpermutable" ones are
         # {1, ..., h} and {0, h+1, h+2, ...}
+        run = self._run
         if self.variant == "cf":
-            return self._run.halted_at if self._halts(n) else 0
-        return 1 if n > 0 and not self._halts(n - 1) else 0
+            return run.halted_at if run.halts_within(n, fuel) else 0
+        return 1 if n > 0 and not run.halts_within(n - 1, fuel) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +223,7 @@ class FibersOf(EqExpr):
         self.fun = fun
 
     def _decide(self, x: int, y: int, fuel: Fuel) -> bool:
-        return self.fun(x) == self.fun(y)
+        return self.fun(x, fuel) == self.fun(y, fuel)
 
     @property
     def _least_rep(self):

@@ -52,16 +52,16 @@ class RhoHaltingCF(RhoExpr):
     The answers come from the member's own resumable machine.Run, so a walk
     over indices 0..n of one code costs about n machine transitions in
     all, and the block enumeration and the rho simulate each transition
-    once between them."""
+    once between them, each paid from the fuel of the query that needs it."""
 
     kind = "rho_halting_cf"
     rho_kind = "coproduct_greater"
 
     def __call__(self, eq: FibersOf, i: int, fuel: Optional[Fuel] = None) -> bool:
         run = eq.fun._run
-        if run.halts_within(i):
+        if run.halts_within(i, fuel):
             return True          # halted block is the infinite tail
-        return not run.halts_within(i + 1)
+        return not run.halts_within(i + 1, fuel)
 
 
 def cf_hard_perm() -> PermExpr:

@@ -29,7 +29,9 @@ Run(x) is one resumable simulation of program x on its own code.  It keeps
 the current configuration and, once seen, the halting step, so
 halts_within(n) only simulates past the furthest step reached so far: asking
 for n = 0, 1, ..., N in any order costs N transitions in all, not O(N**2).
-Each transition goes through the module's step function.  halts_within,
+Each transition goes through the module's step function and spends one
+unit of the caller's Fuel, so a walk over a program that loops stops at the
+caller's budget instead of simulating up to the queried index.  halts_within,
 halting_step and certify_loops_forever are thin wrappers over a fresh Run;
 a caller that asks many questions about one code keeps its own Run.
 """
@@ -38,9 +40,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Union
+from typing import Optional, Union
 
-from .core import pair, unpair
+from .core import Fuel, pair, unpair
 
 INC = "INC"
 DECJZ = "DECJZ"
@@ -194,11 +196,14 @@ class Run:
         self.config = initial_config(code)
         self.halted_at: int | None = None
 
-    def halts_within(self, n: int) -> bool:
+    def halts_within(self, n: int, fuel: Optional[Fuel] = None) -> bool:
         """Does the run halt within n transitions?  Simulates only the
-        transitions past config.steps, and none once halted_at is known."""
+        transitions past config.steps, and none once halted_at is known,
+        spending one unit of fuel on each."""
+        fuel = fuel or Fuel()
         p, c = self.program, self.config
         while self.halted_at is None and c.steps < n:
+            fuel.spend()
             c = step(p, c)
             self.config = c
             if _is_halt_position(p, c.ip):
@@ -206,21 +211,24 @@ class Run:
         return self.halted_at is not None and self.halted_at <= n
 
 
-def halts_within(x: int, n: int) -> bool:
-    """Does program x, run on its own code, halt within n transitions?"""
-    return Run(x).halts_within(n)
+def halts_within(x: int, n: int, fuel: Optional[Fuel] = None) -> bool:
+    """Does program x, run on its own code, halt within n transitions?
+    Each transition spends one unit of fuel (a fresh Fuel() if none)."""
+    return Run(x).halts_within(n, fuel)
 
 
-def halting_step(x: int, cap: int) -> int | None:
-    """Exact number of transitions to halt, or None if still running after cap."""
+def halting_step(x: int, cap: int, fuel: Optional[Fuel] = None) -> int | None:
+    """Exact number of transitions to halt, or None if still running after
+    cap.  Each transition spends one unit of fuel (a fresh Fuel() if none)."""
     run = Run(x)
-    return run.halted_at if run.halts_within(cap) else None
+    return run.halted_at if run.halts_within(cap, fuel) else None
 
 
 def certify_loops_forever(x: int, state_cap: int = 100_000) -> bool:
     """True when the run provably never halts: the reachable configuration set
     is exhausted by a revisit without touching a HALT position."""
     run = Run(x)
+    fuel = Fuel(state_cap)
     seen = set()
     for t in range(state_cap):
         c = run.config
@@ -228,6 +236,6 @@ def certify_loops_forever(x: int, state_cap: int = 100_000) -> bool:
         if key in seen:
             return True
         seen.add(key)
-        if run.halts_within(t + 1):
+        if run.halts_within(t + 1, fuel):
             return False
     return False

@@ -42,10 +42,12 @@ from permdec import (
     even_zigzag,
     halting_equivalence,
     normality_report,
+    pair,
     perm_eval,
     perm_eval_inv,
 )
 from permdec import cycles as cyc
+from permdec import machine
 from permdec import serialize
 from permdec.selfcheck import evens_odds
 
@@ -192,3 +194,35 @@ def test_normality_report_takes_the_callers_fuel():
     with pytest.raises(FuelExhausted):
         normality_report(fp, 40, Fuel(10))
     assert normality_report(fp, 40, Fuel(None)).all_normal
+
+
+def test_machine_simulation_is_charged_to_the_callers_fuel(monkeypatch):
+    # program 7 drains register 0, then jumps to itself forever; the least
+    # member of <7, 10**5>'s block is found by simulating the run up to
+    # index 10**5, which the caller's 1000 units stop at once
+    steps = [0]
+    real = machine.step
+
+    def counting(p, c):
+        steps[0] += 1
+        return real(p, c)
+
+    monkeypatch.setattr(machine, "step", counting)
+    fuel = Fuel(1000)
+    with pytest.raises(FuelExhausted):
+        perm_eval(cf_hard_perm(), pair(7, 10**5), fuel)
+    assert fuel.used == 1000
+    assert 0 < steps[0] <= 1000
+    # the same point with room to spare answers, and a run that ran out
+    # resumes where it stopped
+    assert perm_eval(cf_hard_perm(), pair(7, 3000), Fuel(10**4)) == pair(7, 3002)
+    run = machine.Run(7)
+    with pytest.raises(FuelExhausted):
+        run.halts_within(500, Fuel(100))
+    assert run.config.steps == 100
+    assert not run.halts_within(500, Fuel(400))
+    # the module's wrappers take a budget, and make one when given none
+    with pytest.raises(FuelExhausted):
+        machine.halting_step(7, 10**4, Fuel(10))
+    assert machine.halting_step(7, 10**4) is None
+    assert not machine.halts_within(7, 50)

@@ -1,6 +1,12 @@
+import math
+import random
+import types
+
 import pytest
 from hypothesis import given, strategies as st
 
+from permdec import core, machine
+from permdec.permutation import eta_decode, eta_encode
 from permdec.core import (
     Exhausted,
     Found,
@@ -101,3 +107,102 @@ def test_unbounded_fuel_never_runs_out():
         f.spend()
     assert f.remaining is None
     assert f.used == 1000
+
+
+# ---------------------------------------------------------------------------
+# unpair on big codes: the multiplication-only root and its correction loop
+
+
+def _ref_unpair(z):
+    w = (math.isqrt(8 * z + 1) - 1) // 2
+    x = z - w * (w + 1) // 2
+    return x, w - x
+
+
+def _tri(w):
+    return w * (w + 1) // 2
+
+
+def test_unpair_matches_the_isqrt_reference_on_big_codes():
+    rng = random.Random(20261020)
+    # bit lengths log-uniform in [16K, 1M]
+    for bits in [16_000, 1_000_000] + [int(16_000 * 62.5 ** rng.random()) for _ in range(20)]:
+        z = rng.getrandbits(bits) | 1 << (bits - 1)
+        got = unpair(z)
+        assert got == _ref_unpair(z), bits
+        assert pair(*got) == z, bits
+
+
+def test_unpair_at_triangular_edges():
+    # z = T(w) + x is exact for 0 <= x <= w: the ends of that range and one
+    # past them either way, where an approximate root is most likely to miss.
+    # 8 T(w) + 1 = (2w + 1)**2 is a perfect square.
+    rng = random.Random(7)
+    for bits in (10_000, 16_001, 40_000, 100_000, 400_000):
+        for w in (1 << bits, (1 << bits) - 1, rng.getrandbits(bits) | 1 << (bits - 1)):
+            t = _tri(w)
+            assert 8 * t + 1 == (2 * w + 1) ** 2
+            for z, want in ((t - 1, (w - 1, 0)), (t, (0, w)), (t + w, (w, 0)),
+                            (t + w + 1, (0, w + 1))):
+                assert unpair(z) == want, (bits, z - t)
+                assert pair(*want) == z
+
+
+def test_unpair_at_the_size_gate():
+    g = core._UNPAIR_GATE
+    for z in (g - 1, g, g + 1):
+        assert unpair(z) == _ref_unpair(z)
+        assert pair(*unpair(z)) == z
+
+
+@pytest.mark.parametrize("error", [-7, -2, -1, 1, 2, 7])
+def test_unpair_is_exact_from_a_rough_root(monkeypatch, error):
+    # exactness rests on the correction loop alone, not on the root
+    root = core._root
+
+    def rough(n, with_reciprocal):
+        s, r, e = root(n, with_reciprocal)
+        return (s, r, e) if with_reciprocal else (s + error, r, e)
+
+    monkeypatch.setattr(core, "_root", rough)
+    rng = random.Random(error)
+    w = rng.getrandbits(20_000) | 1 << 19_999
+    t = _tri(w)
+    for z in (t - 1, t, t + 1, t + w - 1, t + w, t + w + 1, rng.getrandbits(40_001)):
+        assert pair(*unpair(z)) == z
+        assert unpair(z) == _ref_unpair(z)
+
+
+def test_the_approximate_root_is_off_by_at_most_one():
+    # the correction loop makes unpair exact whatever the root; this pins
+    # its cost at one step or none
+    rng = random.Random(3)
+    for bits in (4_097, 5_000, 8_193, 16_385, 50_000, 131_073, 300_000):
+        for n in (rng.getrandbits(bits) | 1 << (bits - 1), (1 << bits) - 1,
+                  1 << (bits - 1), ((1 << (bits // 2)) - 1) ** 2,
+                  ((1 << (bits // 2)) - 1) ** 2 - 1):
+            s = core._root(n, False)[0]
+            assert abs(s - math.isqrt(n)) <= 1, bits
+
+
+def test_big_codes_take_the_multiplication_only_root(monkeypatch):
+    # math.isqrt sees the codes below the gate whole, and above it only the
+    # recursion's base: no code above the gate falls back to the quadratic
+    # root anywhere along the unpairing chain
+    widths = []
+
+    def isqrt(n):
+        widths.append(n.bit_length())
+        return math.isqrt(n)
+
+    monkeypatch.setattr(core, "math", types.SimpleNamespace(isqrt=isqrt))
+    rng = random.Random(18)
+    ts = [(a, 88 - a) for a in (rng.randrange(44) for _ in range(18))]
+    z = eta_encode(ts)
+    assert z.bit_length() > 3_000_000
+    assert eta_decode(z).transpositions == ts
+    # a program code unpairs to a fixed point in O(log log code) steps
+    p = machine.decode_program(rng.getrandbits(1_000_000) | 1 << 999_999)
+    assert p.length.bit_length() > 400_000 and len(p.listed) < 40
+    small = (8 * core._UNPAIR_GATE).bit_length()
+    assert widths and max(widths) < small < 20_000

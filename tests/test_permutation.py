@@ -82,6 +82,15 @@ def test_eta_roundtrip(ts):
     assert eta_decode(z).transpositions == ts
 
 
+@pytest.mark.parametrize("n", [17, 18])
+def test_eta_roundtrip_of_long_products(n):
+    # each transposition doubles the code: 18 of them make ~3.1 million bits
+    ts = [(a, 89 - a) for a in range(n)]
+    z = eta_encode(ts)
+    assert z.bit_length() > 1_500_000
+    assert eta_decode(z).transpositions == ts
+
+
 def test_piecewise_rejects_visible_non_bijection():
     with pytest.raises((ValueError, PreconditionViolation)):
         # evens shift onto the odds, colliding with the identity default
