@@ -1,10 +1,19 @@
 """Cycle-decidability witnesses and the conversions between them.
 
 A permutation's cycle partition can be certified by five interchangeable
-kinds of evidence.  Conversions run along two loops:
+kinds of evidence: a decider of "x and y share a cycle"; a label of x's
+cycle, which is its minimum (min-rep), one fixed member (unique-rep) or
+any value that tells cycles apart (char-value); and a transversal, whose
+values at 0, 1, 2, ... meet every cycle.  witness_convert goes by fixed
+routes of at most three single steps:
 
-    decider -> min-rep -> transversal -> decider
-    min-rep -> unique-rep -> char-value -> min-rep
+    to a decider      one step: two labels are compared, x == y or
+                      p(x) == p(y); a transversal is dovetailed
+    to a min-rep      a decider, unique-rep or char-value is scanned over
+                      0..x; a transversal becomes a decider first
+    to the others     a min-rep is already each of them, and a unique-rep
+                      is already a char-value; any other source becomes
+                      a min-rep first
 
 Only transversal -> decider genuinely searches (it dovetails the orbits of
 all enumerated representatives) and hence consumes fuel.  Every payload
@@ -36,54 +45,53 @@ class CycleWitness:
     kind: str
     payload: Callable
     subject: PermExpr
-    label: str = ""
 
 
-def _edges():
-    return {
-        DECIDER: (MIN_REP,),
-        MIN_REP: (UNIQUE_REP, TRANSVERSAL),
-        UNIQUE_REP: (CHAR_VALUE,),
-        CHAR_VALUE: (MIN_REP,),
-        TRANSVERSAL: (DECIDER,),
-    }
+# what a payload of each kind already is, unchanged: a minimum is a unique
+# representative, a characteristic value, and the representative of the
+# e-th cycle when e enumerates the naturals; a unique representative is a
+# characteristic value
+_RELABELS = {MIN_REP: (UNIQUE_REP, CHAR_VALUE, TRANSVERSAL),
+             UNIQUE_REP: (CHAR_VALUE,)}
 
 
 def _convert_step(w: CycleWitness, target: str) -> CycleWitness:
     f = w.subject
-    if w.kind == DECIDER and target == MIN_REP:
-        pi = w.payload
+    p = w.payload
+    if target in _RELABELS.get(w.kind, ()):
+        return CycleWitness(target, p, f)
 
+    if target == DECIDER and w.kind in (MIN_REP, UNIQUE_REP, CHAR_VALUE):
+        def decider(x: int, y: int, fu: Optional[Fuel] = None) -> bool:
+            if x == y:
+                return True
+            fu = fu or Fuel()
+            return p(x, fu) == p(y, fu)
+
+        return CycleWitness(DECIDER, decider, f)
+
+    if target == MIN_REP and w.kind == DECIDER:
         def min_rep(x: int, fu: Optional[Fuel] = None) -> int:
             fu = fu or Fuel()
             for y in range(x + 1):
-                if pi(y, x, fu):
+                if p(y, x, fu):
                     return y
             raise AssertionError("decider not reflexive")  # pragma: no cover
 
         return CycleWitness(MIN_REP, min_rep, f)
 
-    # a minimum is a unique representative, a characteristic value, and
-    # the representative of the e-th cycle when e enumerates the naturals
-    if (w.kind, target) in ((MIN_REP, UNIQUE_REP), (UNIQUE_REP, CHAR_VALUE),
-                            (MIN_REP, TRANSVERSAL)):
-        return CycleWitness(target, w.payload, f)
-
-    if w.kind == CHAR_VALUE and target == MIN_REP:
-        chi = w.payload
-
+    if target == MIN_REP and w.kind in (UNIQUE_REP, CHAR_VALUE):
         def min_rep(x: int, fu: Optional[Fuel] = None) -> int:
             fu = fu or Fuel()
-            cx = chi(x, fu)
+            cx = p(x, fu)
             for y in range(x + 1):
-                if chi(y, fu) == cx:
+                if p(y, fu) == cx:
                     return y
             raise AssertionError("unreachable")  # pragma: no cover
 
         return CycleWitness(MIN_REP, min_rep, f)
 
-    if w.kind == TRANSVERSAL and target == DECIDER:
-        rho = w.payload
+    if target == DECIDER and w.kind == TRANSVERSAL:
         orbits = OrbitCache(f)
         reps: dict[int, int] = {}          # enumeration index -> representative
         found: dict[int, int] = {}         # value -> its cycle's representative
@@ -97,7 +105,7 @@ def _convert_step(w: CycleWitness, target: str) -> CycleWitness:
                 n = state["n"]
                 e, j = unpair(n)
                 if e not in reps:
-                    reps[e] = rho(e, fu)
+                    reps[e] = p(e, fu)
                 found.setdefault(orbits.value(reps[e], delta_inv(j), fu), reps[e])
                 state["n"] = n + 1
             return found[x]
@@ -111,25 +119,24 @@ def _convert_step(w: CycleWitness, target: str) -> CycleWitness:
     raise ValueError(f"no single conversion {w.kind} -> {target}")
 
 
+def _route(source: str, target: str) -> tuple[str, ...]:
+    """The kinds a conversion steps through, target last."""
+    if source == target:
+        return ()
+    if target == DECIDER or target in _RELABELS.get(source, ()):
+        return (target,)
+    to_min = (DECIDER, MIN_REP) if source == TRANSVERSAL else (MIN_REP,)
+    return to_min if target == MIN_REP else to_min + (target,)
+
+
 def witness_convert(w: CycleWitness, target: str) -> CycleWitness:
-    """Convert along the shortest path of single-step conversions."""
+    """Convert by the fixed route of the module docstring; a witness of the
+    target kind comes back unchanged."""
     if target not in KINDS:
         raise ValueError(f"unknown witness kind {target!r}")
-    # breadth-first search over the fixed conversion edges
-    frontier = [(w.kind, [])]
-    seen = {w.kind}
-    while frontier:
-        kind, path = frontier.pop(0)
-        if kind == target:
-            out = w
-            for step_target in path:
-                out = _convert_step(out, step_target)
-            return out
-        for nxt in _edges()[kind]:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append((nxt, path + [nxt]))
-    raise ValueError(f"no conversion path {w.kind} -> {target}")  # pragma: no cover
+    for step_target in _route(w.kind, target):
+        w = _convert_step(w, step_target)
+    return w
 
 
 def reachability_semidecider(f: PermExpr, x: int, x2: int, fuel: Fuel):

@@ -250,12 +250,15 @@ class OpaqueEq(EqExpr):
 class CycleEqOf(EqExpr):
     """The cycle partition of a permutation; decidable only through a witness.
 
-    strategy selects how the decider is recovered when the expression is
-    rebuilt from serialized form:
+    strategy selects the witness, which is also how it is recovered when the
+    expression is rebuilt from serialized form:
       "one_infinite"        at most one infinite cycle (caller obligation)
       "few_infinite"        finitely many infinite cycles, reps supplied
-      "normal"              the subject is in normal form
+      "normal"              the subject is in normal form (a min-rep witness)
       "attached"            a runtime CycleWitness was attached directly
+    witness is the attached one, or else the strategy's, built on first
+    use.  _decide asks its decider, and a min-rep witness is also the
+    _least_rep closed form.
     """
 
     kind = "cycle_eq_of"
@@ -268,27 +271,26 @@ class CycleEqOf(EqExpr):
         self.witness = witness
         self._decider = None
 
+    def _get_witness(self):
+        if self.witness is None:
+            from . import cycles as cyc
+            if self.strategy == "one_infinite":
+                self.witness = cyc.decider_one_infinite(self.perm)
+            elif self.strategy == "few_infinite":
+                self.witness = cyc.decider_few_infinite(self.perm, self.reps)
+            elif self.strategy == "normal":
+                from .normalform import decider_from_normal
+                self.witness = decider_from_normal(self.perm)
+            elif self.strategy == "attached":
+                raise PreconditionViolation("CycleEqOf needs an attached witness")
+            else:
+                raise ValueError(f"unknown strategy {self.strategy!r}")
+        return self.witness
+
     def _get_decider(self):
         if self._decider is None:
             from . import cycles as cyc
-            if self.strategy == "attached":
-                w = self.witness
-                if w is None:
-                    raise PreconditionViolation("CycleEqOf needs an attached witness")
-                w = cyc.witness_convert(w, cyc.DECIDER)
-                self._decider = w.payload
-            elif self.strategy == "one_infinite":
-                self._decider = cyc.decider_one_infinite(self.perm).payload
-            elif self.strategy == "few_infinite":
-                self._decider = cyc.decider_few_infinite(self.perm, self.reps).payload
-            elif self.strategy == "normal":
-                from . import normalform as nf
-
-                def decider(x, y, fu=None, _p=self.perm):
-                    return nf.normal_min(_p, x, fu) == nf.normal_min(_p, y, fu)
-                self._decider = decider
-            else:
-                raise ValueError(f"unknown strategy {self.strategy!r}")
+            self._decider = cyc.witness_convert(self._get_witness(), cyc.DECIDER).payload
         return self._decider
 
     def _decide(self, x: int, y: int, fuel: Fuel) -> bool:
@@ -296,15 +298,9 @@ class CycleEqOf(EqExpr):
 
     @property
     def _least_rep(self):
-        # a witness that yields the minimum of x's cycle is the closed form
-        from . import cycles as cyc
-        if self.strategy == "normal":
-            from .normalform import normal_min
-            return lambda x, fuel, _p=self.perm: normal_min(_p, x, fuel)
-        w = self.witness
-        if self.strategy == "attached" and w is not None and w.kind == cyc.MIN_REP:
-            return w.payload
-        return None
+        from .cycles import MIN_REP
+        w = self._get_witness()
+        return w.payload if w.kind == MIN_REP else None
 
 
 class ImageEq(EqExpr):

@@ -24,6 +24,7 @@ from .equivalence import (
     PiXYFamily,
 )
 from .permutation import (
+    Compose,
     CoproductPerm,
     FromRho,
     OrbitCache,
@@ -212,7 +213,6 @@ def reduce_cf_to_cd(g: PermExpr) -> tuple[PermExpr, Callable[[int, int], int] | 
     each finite cycle, so [x]_g is finite iff j(x) and j'(x) share a cycle
     of the square."""
     gp, j = odd_length_gadget(g)
-    from .permutation import Compose
     f = Compose(gp, gp)
 
     def jprime(x: int) -> int:
@@ -225,30 +225,34 @@ def reduce_cf_to_cd(g: PermExpr) -> tuple[PermExpr, Callable[[int, int], int] | 
 # the conjugacy-hardness reduction
 
 
-class ConjReductionPerm(PermExpr):
+class ConjReductionPerm(FromRho):
     """From a cycle decider for f and a base point x, build the permutation
     whose partition keeps the even-power orbit points of x together and
     isolates everything else.  Its cycle type collapses the cycle
     finiteness of [x]_f: all cycles finite iff [x]_f is finite, otherwise
-    one infinite cycle plus fixed points."""
+    one infinite cycle plus fixed points.
+
+    It is the FromRho of that parity partition, decided by pi_prime, and
+    of rho_prime.  f's own cycle relation is `base` (serialized as "eq");
+    FromRho's eq is the parity relation."""
 
     kind = "conj_reduction"
 
     def __init__(self, f: PermExpr, eq: EqExpr, x: int):
         self.f = f
-        self.eq = eq
+        self.base = eq
         self.x = x
-        self._cache = BlockCache(eq)
+        self._base_cache = BlockCache(eq)
         self._rho_f = RhoClosure(f, eq)
         self._forb = OrbitCache(f)
         self._kmemo: dict[int, int] = {}
         # the parity blocks are this node's own cycles, decided by pi_prime
         parity = cyc.CycleWitness(cyc.DECIDER, self.pi_prime, self)
-        self._inner = FromRho(CycleEqOf(self, "attached", witness=parity),
-                              _RhoPrime(self))
+        super().__init__(CycleEqOf(self, "attached", witness=parity), self.rho_prime)
+        self._rho = self.rho_prime   # asked with the caller's fuel
 
     def _related(self, u: int, fuel: Fuel) -> bool:
-        return self.eq._decide(self.x, u, fuel)
+        return self.base._decide(self.x, u, fuel)
 
     def _k(self, u: int, fuel: Fuel) -> int:
         if u not in self._kmemo:
@@ -270,25 +274,9 @@ class ConjReductionPerm(PermExpr):
             fuel.spend()
             if not self._rho_f(cur, fuel):
                 return False
-            cur = self._cache.next_greater(cur, fuel)
+            cur = self._base_cache.next_greater(cur, fuel)
             if self._k(cur, fuel) % 2 == 0:
                 return True
-
-    def fwd(self, n: int, fuel: Fuel) -> int:
-        return self._inner.fwd(n, fuel)
-
-    def bwd(self, n: int, fuel: Fuel) -> int:
-        return self._inner.bwd(n, fuel)
-
-
-class _RhoPrime(RhoExpr):
-    """rho' of a ConjReductionPerm, asked with the caller's fuel."""
-
-    def __init__(self, node: ConjReductionPerm):
-        self.node = node
-
-    def __call__(self, y: int, fuel: Optional[Fuel] = None) -> bool:
-        return self.node.rho_prime(y, fuel or Fuel())
 
 
 def conj_reduction_perm(f: PermExpr, w: cyc.CycleWitness, x: int,
@@ -296,4 +284,4 @@ def conj_reduction_perm(f: PermExpr, w: cyc.CycleWitness, x: int,
     if eq is None:
         eq = witness_to_eq(w)
     node = ConjReductionPerm(f, eq, x)
-    return node, cyc.CycleWitness(cyc.DECIDER, node.pi_prime, node)
+    return node, node.eq.witness

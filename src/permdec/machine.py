@@ -39,7 +39,6 @@ a caller that asks many questions about one code keeps its own Run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Optional, Union
 
 from .core import Fuel, pair, unpair
@@ -75,6 +74,7 @@ class ToyProgram:
         return len(self.listed) + self.pad
 
     def __len__(self) -> int:
+        # CPython's len() raises OverflowError past sys.maxsize; read length
         return self.length
 
     def instr(self, ip: int) -> Instr:
@@ -116,10 +116,15 @@ def _decode_instr(code: int, length: int) -> Instr:
 
 
 def encode_program(p: ToyProgram) -> int:
+    """The code of p.  A decoded program's last code is 0 or 1, a fixed point
+    of pair(0, .), so its run of INC 0 codes is skipped, not paired on."""
     codes = [_encode_instr(i) for i in p.listed]
-    right_to_left = chain(codes[-1:], repeat(0, p.pad), reversed(codes[:-1]))
-    payload = next(right_to_left, 0)
-    for c in right_to_left:
+    payload = codes[-1] if codes else 0
+    pad = p.pad
+    while pad and payload > 1:
+        payload = pair(0, payload)
+        pad -= 1
+    for c in reversed(codes[:-1]):
         payload = pair(c, payload)
     return pair(p.length, payload)
 

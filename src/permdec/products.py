@@ -32,9 +32,7 @@ CFProc = Callable[..., bool]
 
 
 def _as_decider(w: cyc.CycleWitness) -> Decider:
-    if w.kind != cyc.DECIDER:
-        w = cyc.witness_convert(w, cyc.DECIDER)
-    return w.payload
+    return cyc.witness_convert(w, cyc.DECIDER).payload
 
 
 def _with_fuel(cf: CFProc) -> CFProc:

@@ -129,7 +129,7 @@ _ENCODERS = {
     gdm.InterredCFPerm: lambda e: {"kind": "interred_cf", "f": to_jsonable(e.f)},
     gdm.ConjReductionPerm: lambda e: {"kind": "conj_reduction",
                                       "f": to_jsonable(e.f),
-                                      "eq": to_jsonable(e.eq), "x": _n(e.x)},
+                                      "eq": to_jsonable(e.base), "x": _n(e.x)},
     nfm.SeminormalToNormal: lambda e: {"kind": "seminormal_to_normal",
                                        "f": to_jsonable(e.f)},
     # rho expressions

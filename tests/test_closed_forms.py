@@ -138,6 +138,25 @@ def test_no_member_above_spends_the_rest_at_once():
         BlockCache(PiXY(ZIG, 4, 14)).next_greater(4, Fuel(None))
 
 
+@pytest.mark.parametrize("make_f", [even_zigzag, lambda: FromRho(Modulo(3), RhoConst(True))],
+                         ids=["zigzag", "from_rho_mod_3"])
+def test_the_normal_strategy_is_the_min_rep_witness(make_f):
+    # one code path: the same answers, and the same fuel per decide (a
+    # FromRho subject spends fuel listing its blocks)
+    by_strategy = CycleEqOf(make_f(), "normal")
+    by_witness = witness_to_eq(decider_from_normal(make_f()))
+    spent = []
+    for eq in (by_strategy, by_witness):
+        answers, used = [], []
+        for x, y in [(0, 2000), (0, 2001), (3, 3000), (7, 8), (9, 0)]:
+            fuel = Fuel()
+            answers.append(eq._decide(x, y, fuel))
+            used.append(fuel.used)
+        spent.append((answers, used))
+    assert spent[0] == spent[1]
+    assert by_strategy._least_rep(2000, Fuel()) == by_witness._least_rep(2000, Fuel())
+
+
 def _cycle_min_table(fp):
     table = {}
     for a, b in fp.transpositions:

@@ -6,12 +6,13 @@ from permdec import (
     Fuel,
     Identity,
     Transposition,
+    decider_from_normal,
     even_zigzag,
 )
 from permdec import cycles as cyc
 
 
-def _finitary_decider_truth(fp):
+def _finitary_cycle_min(fp):
     mapping = fp.support_mapping()
     labels = {}
     for start in mapping:
@@ -25,7 +26,12 @@ def _finitary_decider_truth(fp):
         m = min(cycle)
         for c in cycle:
             labels[c] = m
-    return lambda x, y: labels.get(x, x) == labels.get(y, y)
+    return lambda x: labels.get(x, x)
+
+
+def _finitary_decider_truth(fp):
+    lo = _finitary_cycle_min(fp)
+    return lambda x, y: lo(x) == lo(y)
 
 
 FIX = FinitaryProduct([(0, 1), (1, 2), (5, 9), (9, 12)])
@@ -59,19 +65,94 @@ def test_decider_few_infinite():
         [False, False, False, True, True, False]
 
 
-def test_witness_conversion_cycle():
-    truth = _finitary_decider_truth(FIX)
-    w = cyc.CycleWitness(cyc.DECIDER, lambda x, y, fu=None: truth(x, y), FIX)
-    for target in (cyc.MIN_REP, cyc.UNIQUE_REP, cyc.CHAR_VALUE,
-                   cyc.TRANSVERSAL):
-        w2 = cyc.witness_convert(w, target)
-        assert w2.kind == target
-    # a full loop back to a decider must still decide correctly
-    w3 = cyc.witness_convert(
-        cyc.witness_convert(w, cyc.TRANSVERSAL), cyc.DECIDER)
-    for x in range(12):
-        for y in range(12):
-            assert w3.payload(x, y) == truth(x, y)
+D, M, U, C, T = (cyc.DECIDER, cyc.MIN_REP, cyc.UNIQUE_REP, cyc.CHAR_VALUE,
+                 cyc.TRANSVERSAL)
+# source -> target -> the kinds the conversion steps through
+ROUTES = {
+    D: {D: (), M: (M,), U: (M, U), C: (M, C), T: (M, T)},
+    M: {D: (D,), M: (), U: (U,), C: (C,), T: (T,)},
+    U: {D: (D,), M: (M,), U: (), C: (C,), T: (M, T)},
+    C: {D: (D,), M: (M,), U: (M, U), C: (), T: (M, T)},
+    T: {D: (D,), M: (D, M), U: (D, M, U), C: (D, M, C), T: ()},
+}
+ZIG = even_zigzag()
+# (subject, least member of x's cycle, a member other than the least where
+# the cycle has one): FIX's cycles are {0, 1, 2}, {5, 9, 12} and fixed
+# points; ZIG's are the evens and fixed odd points
+SUBJECTS = [
+    ("finitary", FIX, _finitary_cycle_min(FIX),
+     lambda x: {0: 2, 1: 2, 2: 2, 5: 12, 9: 12, 12: 12}.get(x, x)),
+    ("zigzag", ZIG, lambda x: x if x % 2 else 0, lambda x: x if x % 2 else 2),
+]
+WIN = 14
+
+
+def _sources(f, lo, other):
+    return {
+        D: cyc.CycleWitness(D, lambda x, y, fu=None: lo(x) == lo(y), f),
+        M: cyc.CycleWitness(M, lambda x, fu=None: lo(x), f),
+        U: cyc.CycleWitness(U, lambda x, fu=None: other(x), f),
+        C: cyc.CycleWitness(C, lambda x, fu=None: 1000 + lo(x), f),
+        # meets every cycle, each of them more than once
+        T: cyc.CycleWitness(T, lambda e, fu=None: other(e // 2), f),
+    }
+
+
+def _answers_as_the_truth(w, lo):
+    pts = range(WIN)
+    if w.kind == D:
+        assert all(w.payload(x, y) == (lo(x) == lo(y)) for x in pts for y in pts)
+        return
+    p = w.payload
+    if w.kind == T:
+        # every cycle met in the window is met by the transversal
+        assert {lo(x) for x in pts} <= {lo(p(e)) for e in range(2 * WIN)}
+        return
+    assert all((p(x) == p(y)) == (lo(x) == lo(y)) for x in pts for y in pts)
+    if w.kind == M:
+        assert [p(x) for x in pts] == [lo(x) for x in pts]
+    if w.kind == U:
+        assert all(lo(p(x)) == lo(x) for x in pts)
+
+
+def test_witness_conversion_cycle(monkeypatch):
+    """Every (source, target) route takes its fixed steps, and answers as
+    the truth, on both subjects."""
+    steps = []
+    real = cyc._convert_step
+
+    def counting(w, target):
+        steps.append(target)
+        out = real(w, target)
+        assert isinstance(out, cyc.CycleWitness) and out.kind == target
+        return out
+
+    monkeypatch.setattr(cyc, "_convert_step", counting)
+    for name, f, lo, other in SUBJECTS:
+        for source, w in _sources(f, lo, other).items():
+            for target in cyc.KINDS:
+                steps.clear()
+                out = cyc.witness_convert(w, target)
+                assert tuple(steps) == ROUTES[source][target], (name, source, target)
+                assert out.kind == target and out.subject is f
+                _answers_as_the_truth(out, lo)
+                # and back to a decider, one more step from any kind
+                steps.clear()
+                back = cyc.witness_convert(out, D)
+                assert len(steps) == (target != D)
+                _answers_as_the_truth(back, lo)
+
+
+@pytest.mark.parametrize("kind", [M, U, C])
+def test_a_label_witness_decides_by_comparing_labels(kind):
+    # the normal form's minimum search spends no fuel on a piecewise map; a
+    # route through the transversal dovetail ran out of a 10**7 budget at
+    # (0, 9000)
+    w = decider_from_normal(ZIG)
+    d = cyc.witness_convert(cyc.CycleWitness(kind, w.payload, ZIG), D)
+    assert d.payload(0, 2000, Fuel(1))
+    assert not d.payload(0, 2001, Fuel(1))
+    assert d.payload(0, 9000, Fuel(1))
 
 
 def test_min_rep_from_decider():

@@ -2,6 +2,7 @@ import pytest
 
 from permdec import (
     FinitaryProduct,
+    FromRho,
     Identity,
     OpaqueEq,
     Transposition,
@@ -127,6 +128,31 @@ def test_conj_reduction_on_the_even_cycle():
     assert c is None
     assert perm_eval(node, 3) == 3
     assert perm_eval(node, 4) == 4
+
+
+def test_conj_reduction_is_one_from_rho_node(monkeypatch):
+    f = even_zigzag()
+    eq = OpaqueEq(lambda x, y: x == y or (x % 2 == 0 and y % 2 == 0))
+    node, witness = gd.conj_reduction_perm(f, cyc.decider_one_infinite(f), 0, eq=eq)
+    assert isinstance(node, FromRho)
+    # the parity witness handed out is the one the node decides its blocks by
+    assert witness is node.eq.witness
+    assert witness.payload is not None and witness.subject is node
+    steps = []
+    for cls in {FromRho, gd.ConjReductionPerm}:
+        for name in ("fwd", "bwd"):
+            if name in vars(cls):
+                def counting(self, n, fuel, _real=vars(cls)[name], _name=name):
+                    steps.append(_name)
+                    return _real(self, n, fuel)
+                monkeypatch.setattr(cls, name, counting)
+    for u in (0, 3, 4, 6, 8):
+        steps.clear()
+        perm_eval(node, u)
+        assert steps == ["fwd"], u
+        steps.clear()
+        perm_eval_inv(node, u)
+        assert steps == ["bwd"], u
 
 
 def test_conj_reduction_finite_case():

@@ -176,6 +176,22 @@ def test_decode_reads_only_the_nonzero_prefix():
         assert machine.decode_program(machine.encode_program(p)).instrs == p.instrs, z
 
 
+def test_padded_programs_encode_without_pairing_the_pad():
+    # a decoded program ends in code 0 or 1, and pair(0, c) == c for those,
+    # so its run of INC 0 codes costs nothing; 10**40 has ~9.5 * 10**19
+    # instructions, more than len() can report
+    for z in (10**14, 10**40):
+        p = machine.decode_program(z)
+        assert p.pad > 0
+        t0 = time.perf_counter()
+        code = machine.encode_program(p)
+        assert machine.decode_program(code) == p
+        assert time.perf_counter() - t0 < 0.05
+    # a hand-built pad before a larger code is still paired on, exactly
+    p = machine.ToyProgram((machine.Instr(HALT),), pad=3)
+    assert machine.decode_program(machine.encode_program(p)).instrs == p.instrs
+
+
 def test_huge_code_halts_within_in_milliseconds():
     z = 10**40
     t0 = time.perf_counter()
