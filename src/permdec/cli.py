@@ -10,16 +10,16 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core import Fuel, FuelExhausted, PreconditionViolation, delta_inv
+from .core import Fuel, FuelExhausted, PreconditionViolation
 from .equivalence import EqExpr, eq_decide
 from .permutation import (
-    OrbitCache,
     PermExpr,
     Transposition,
     Identity,
     perm_eval,
     perm_eval_inv,
     even_zigzag,
+    orbit_window,
 )
 from . import cycles as cyc
 from .normalform import normalize
@@ -41,23 +41,13 @@ class _Malformed(Exception):
     pass
 
 
-def _load_perm(path: str) -> PermExpr:
+def _load(path: str, cls: type, what: str):
     try:
         obj = load(path)
     except (OSError, SerializationError) as exc:
         raise _Malformed(str(exc))
-    if not isinstance(obj, PermExpr):
-        raise _Malformed(f"{path} does not describe a permutation")
-    return obj
-
-
-def _load_eq(path: str) -> EqExpr:
-    try:
-        obj = load(path)
-    except (OSError, SerializationError) as exc:
-        raise _Malformed(str(exc))
-    if not isinstance(obj, EqExpr):
-        raise _Malformed(f"{path} does not describe an equivalence")
+    if not isinstance(obj, cls):
+        raise _Malformed(f"{path} does not describe {what}")
     return obj
 
 
@@ -72,7 +62,7 @@ def _natural(text: str) -> int:
 
 
 def _cmd_eval(args) -> int:
-    p = _load_perm(args.perm)
+    p = _load(args.perm, PermExpr, "a permutation")
     x = _natural(args.x)
     fuel = Fuel(args.fuel)
     v = perm_eval_inv(p, x, fuel) if args.inv else perm_eval(p, x, fuel)
@@ -81,18 +71,15 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
-    p = _load_perm(args.perm)
+    p = _load(args.perm, PermExpr, "a permutation")
     x = _natural(args.x)
-    fuel = Fuel(args.fuel)
-    walker = OrbitCache(p)
-    for j in range(args.steps):
-        k = delta_inv(j)
-        print(f"{k}\t{walker.value(x, k, fuel)}")
+    for k, v in orbit_window(p, x, args.steps, Fuel(args.fuel)):
+        print(f"{k}\t{v}")
     return EXIT_OK
 
 
 def _cmd_decide(args) -> int:
-    eq = _load_eq(args.relation)
+    eq = _load(args.relation, EqExpr, "an equivalence")
     x = _natural(args.x)
     y = _natural(args.y)
     fuel = Fuel(args.fuel)
@@ -101,8 +88,8 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    f = _load_perm(args.perm)
-    eq = _load_eq(args.witness)
+    f = _load(args.perm, PermExpr, "a permutation")
+    eq = _load(args.witness, EqExpr, "an equivalence")
     w = cyc.CycleWitness(
         cyc.DECIDER, lambda a, b, fu=None: eq_decide(eq, a, b, fu), f)
     fp = normalize(f, w, eq=eq)
@@ -114,13 +101,13 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_conjugate(args) -> int:
-    f = _load_perm(args.f)
-    g = _load_perm(args.g)
-    eq = _load_eq(args.witness)
+    f = _load(args.f, PermExpr, "a permutation")
+    g = _load(args.g, PermExpr, "a permutation")
+    eq = _load(args.witness, EqExpr, "an equivalence")
     w = cyc.CycleWitness(
         cyc.DECIDER, lambda a, b, fu=None: eq_decide(eq, a, b, fu), f)
     if args.iso:
-        theta = _load_perm(args.iso)
+        theta = _load(args.iso, PermExpr, "a permutation")
         h = conjugator_from_isomorphism(f, g, theta, w, eq=eq)
     else:
         h = conjugator_same_partition(f, g, w, eq=eq)
@@ -204,7 +191,7 @@ def _cmd_gadget(args) -> int:
 
 
 def _cmd_dot(args) -> int:
-    p = _load_perm(args.perm)
+    p = _load(args.perm, PermExpr, "a permutation")
     fuel = Fuel(args.fuel)
     lines = ["digraph permutation {"]
     sink_needed = False

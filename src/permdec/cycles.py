@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Callable, Optional
 
-from .core import Exhausted, Found, Fuel, delta_inv, unpair
+from .core import Exhausted, Found, Fuel, FuelExhausted, delta_inv, unpair
 from .permutation import OrbitCache, PermExpr
 
 DECIDER = "decider"
@@ -111,6 +111,8 @@ def _convert_step(w: CycleWitness, target: str) -> CycleWitness:
             return found[x]
 
         def decider(x: int, y: int, fu: Optional[Fuel] = None) -> bool:
+            if x == y:
+                return True
             fu = fu or Fuel()
             return locate(x, fu) == locate(y, fu)
 
@@ -142,17 +144,17 @@ def witness_convert(w: CycleWitness, target: str) -> CycleWitness:
 def reachability_semidecider(f: PermExpr, x: int, x2: int, fuel: Fuel):
     """Search f^k(x) = x2 in xi order; Found(k) proves reachability,
     Exhausted proves nothing."""
-    orbits = OrbitCache(f)
     probes = 0
-    j = 0
-    while True:
-        if not fuel.try_spend():
-            return Exhausted(probes)
+
+    def hit(v: int) -> bool:
+        nonlocal probes
         probes += 1
-        k = delta_inv(j)
-        if orbits.value(x, k, fuel) == x2:
-            return Found(k, probes)
-        j += 1
+        return v == x2
+
+    try:
+        return Found(OrbitCache(f).find(x, hit, fuel), probes)
+    except FuelExhausted:
+        return Exhausted(probes)
 
 
 def decider_one_infinite(f: PermExpr) -> CycleWitness:
@@ -188,34 +190,25 @@ def decider_few_infinite(f: PermExpr, reps: list[int]) -> CycleWitness:
     orbits = OrbitCache(f)
     repset = set(reps)
 
-    def land(x: int, other: int, fu: Fuel) -> tuple[str, int]:
+    def land(x: int, other: int, fu: Fuel) -> Optional[int]:
+        # the first of other or a listed representative on x's orbit (x
+        # itself when listed), or None when the orbit closes on x first
         if x in repset:
-            return ("rep", x)
+            return x
         targets = {x, other} | repset
-        for j in count(1):
-            fu.spend()
-            v = orbits.value(x, delta_inv(j), fu)
-            if v in targets:
-                if v == other:
-                    return ("other", v)
-                if v == x:
-                    return ("self", v)
-                return ("rep", v)
+        v = orbits.value(x, orbits.find(x, targets.__contains__, fu, first=1), fu)
+        return None if v == x else v
 
     def decider(x: int, y: int, fu: Optional[Fuel] = None) -> bool:
         if x == y:
             return True
         fu = fu or Fuel()
-        how_x, vx = land(x, y, fu)
-        if how_x == "other":
-            return True
-        if how_x == "self":
-            return False
-        how_y, vy = land(y, x, fu)
-        if how_y == "other":
-            return True
-        if how_y == "self":
-            return False
+        vx = land(x, y, fu)
+        if vx is None or vx == y:
+            return vx == y
+        vy = land(y, x, fu)
+        if vy is None or vy == x:
+            return vy == x
         return vx == vy
 
     return CycleWitness(DECIDER, decider, f)

@@ -258,13 +258,19 @@ class CycleEqOf(EqExpr):
       "attached"            a runtime CycleWitness was attached directly
     witness is the attached one, or else the strategy's, built on first
     use.  _decide asks its decider, and a min-rep witness is also the
-    _least_rep closed form.
+    _least_rep closed form.  An unknown strategy, or "attached" without a
+    CycleWitness, is refused at construction.
     """
 
     kind = "cycle_eq_of"
 
     def __init__(self, perm, strategy: str = "one_infinite",
                  reps: Optional[list[int]] = None, witness=None):
+        from .cycles import CycleWitness
+        if strategy not in ("one_infinite", "few_infinite", "normal", "attached"):
+            raise ValueError(f"unknown strategy {strategy!r}")
+        if strategy == "attached" and not isinstance(witness, CycleWitness):
+            raise TypeError("strategy 'attached' needs a CycleWitness")
         self.perm = perm
         self.strategy = strategy
         self.reps = list(reps) if reps else []
@@ -278,13 +284,9 @@ class CycleEqOf(EqExpr):
                 self.witness = cyc.decider_one_infinite(self.perm)
             elif self.strategy == "few_infinite":
                 self.witness = cyc.decider_few_infinite(self.perm, self.reps)
-            elif self.strategy == "normal":
+            else:  # "normal"; an attached witness is never None
                 from .normalform import decider_from_normal
                 self.witness = decider_from_normal(self.perm)
-            elif self.strategy == "attached":
-                raise PreconditionViolation("CycleEqOf needs an attached witness")
-            else:
-                raise ValueError(f"unknown strategy {self.strategy!r}")
         return self.witness
 
     def _get_decider(self):

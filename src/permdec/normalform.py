@@ -5,7 +5,9 @@ is normal when the delta-indexed powers of a0 walk the members in increasing
 order: f^{delta_inv(j)}(a0) = a_j.  A permutation is normal when every cycle
 is; semi-normal relaxes finite cycles to plain increasing order
 a0 -> a1 -> ... -> a_{n-1} -> a0.  Cycles of length at most 2 count as
-normal (the two definitions coincide there).
+normal (the two definitions coincide there).  permutation.normal_index
+states the normal order once; RhoFromNormal and the semi-normal minimum
+search an orbit in xi order through OrbitCache.find.
 
 The rho functions ("does my block hold a larger element" and "how big is my
 block, 0 meaning infinite") are what make normal members of Perm(eq)
@@ -15,7 +17,6 @@ constructible; both directions of that correspondence live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 from typing import Callable, Optional, Union
 
 from .core import Fuel, PreconditionViolation, delta, delta_inv
@@ -33,6 +34,7 @@ from .permutation import (
     PermExpr,
     RhoExpr,
     SeminormalFromRho,
+    normal_index,
     perm_eval,
     perm_eval_inv,
 )
@@ -112,10 +114,8 @@ class RhoFromNormal(RhoExpr):
     def __call__(self, x: int, fuel: Optional[Fuel] = None) -> bool:
         fuel = fuel or Fuel()
         m = normal_min(self.fprime, x, fuel)
-        for j in count():
-            fuel.spend()
-            if self._orbits.value(m, delta_inv(j), fuel) == x:
-                return self._orbits.value(m, delta_inv(j + 1), fuel) > x
+        k = self._orbits.find_k(m, x, fuel)
+        return self._orbits.value(m, delta_inv(delta(k) + 1), fuel) > x
 
 
 class RhoCardConst(RhoExpr):
@@ -296,11 +296,9 @@ def _cycle_min_seminormal(f: PermExpr, x: int, orbits: OrbitCache,
                           fuel: Fuel) -> int:
     """Least element of x's cycle for semi-normal f, by alternating search
     for the unique local minimum, one unit of fuel per orbit point."""
-    for j in count():
-        fuel.spend()
-        c = orbits.value(x, delta_inv(j), fuel)
-        if c <= perm_eval(f, c, fuel) and c <= perm_eval_inv(f, c, fuel):
-            return c
+    k = orbits.find(x, lambda c: c <= perm_eval(f, c, fuel)
+                    and c <= perm_eval_inv(f, c, fuel), fuel)
+    return orbits.value(x, k, fuel)
 
 
 def seminormal_cf_decider(f: PermExpr) -> Callable[..., bool]:
@@ -321,29 +319,6 @@ def seminormal_cf_decider(f: PermExpr) -> Callable[..., bool]:
         raise PreconditionViolation("minimum neighbourhood malformed: not semi-normal?")
 
     return finite
-
-
-def _normal_fwd_index(k: int, n: int) -> int:
-    """Image index inside a normal finite cycle of length n."""
-    if k % 2 == 0:
-        if k + 2 <= n - 1:
-            return k + 2
-        if k + 1 <= n - 1:
-            return k + 1
-        return 0 if k == 0 else k - 1
-    return 0 if k == 1 else k - 2
-
-
-def _normal_bwd_index(t: int, n: int) -> int:
-    if t % 2 == 0:
-        if t >= 2:
-            return t - 2
-        return 1 if n >= 2 else 0
-    if t + 2 <= n - 1:
-        return t + 2
-    if t + 1 <= n - 1:
-        return t + 1
-    return t - 1
 
 
 class SeminormalToNormal(PermExpr):
@@ -370,13 +345,13 @@ class SeminormalToNormal(PermExpr):
         if not self._finite(x, fuel):
             return self.f.fwd(x, fuel)
         members = self._cycle_sorted(x, fuel)
-        return members[_normal_fwd_index(members.index(x), len(members))]
+        return members[normal_index(members.index(x), len(members), 1)]
 
     def bwd(self, x: int, fuel: Fuel) -> int:
         if not self._finite(x, fuel):
             return self.f.bwd(x, fuel)
         members = self._cycle_sorted(x, fuel)
-        return members[_normal_bwd_index(members.index(x), len(members))]
+        return members[normal_index(members.index(x), len(members), -1)]
 
 
 # ---------------------------------------------------------------------------

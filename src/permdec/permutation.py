@@ -117,16 +117,30 @@ class FinitaryProduct(PermExpr):
         return {p: self.fwd(p, fuel) for p in pts}
 
 
+def normal_index(k: int, n: Optional[int], step: int) -> int:
+    """The normal cycle order: the index of the member `step` (+1 or -1)
+    powers away from member k, in a cycle of n members (None: infinite)
+    indexed increasingly.  Member k is the power delta_inv(k) of the
+    minimum; a finite cycle's powers fill the interval from -(n // 2) on,
+    and a step wraps inside it."""
+    p = delta_inv(k) + step
+    if n is not None:
+        lo = -(n // 2)
+        p = lo + (p - lo) % n
+    return delta(p)
+
+
 class DeltaSucc(PermExpr):
-    """Conjugate of the successor on Z: one cycle ...,5,3,1,0,2,4,6,..."""
+    """Conjugate of the successor on Z: one cycle ...,5,3,1,0,2,4,6,...,
+    the normal cycle on N itself."""
 
     kind = "delta_succ"
 
     def fwd(self, x: int, fuel: Fuel) -> int:
-        return delta(delta_inv(x) + 1)
+        return normal_index(x, None, 1)
 
     def bwd(self, x: int, fuel: Fuel) -> int:
-        return delta(delta_inv(x) - 1)
+        return normal_index(x, None, -1)
 
 
 @dataclass(frozen=True)
@@ -260,8 +274,8 @@ class NormalFromSet(PermExpr):
     block of `rep` in `eq`; everything outside A is fixed.
 
     With a(j) the increasing enumeration of A, the image of a(i) is
-    a(delta(delta_inv(i) + 1)): the cycle visits A in the zig-zag order that
-    makes successive delta-indexed powers of the minimum increase.
+    a(normal_index(i, None, 1)): the cycle visits A in the zig-zag order
+    that makes successive delta-indexed powers of the minimum increase.
     """
 
     kind = "normal_from_set"
@@ -276,7 +290,7 @@ class NormalFromSet(PermExpr):
             return x
         lr = self._cache.least_rep(x, fuel)
         i = self._cache.member_index(x, fuel)
-        return self._cache.nth_member(lr, delta(delta_inv(i) + step), fuel)
+        return self._cache.nth_member(lr, normal_index(i, None, step), fuel)
 
     def fwd(self, x: int, fuel: Fuel) -> int:
         return self._map(x, 1, fuel)
@@ -314,9 +328,10 @@ class FromRho(PermExpr):
     """Normal member of Perm(eq), built from the greater-element predicate.
 
     On a block enumerated increasingly as a_0 < a_1 < ..., the element of
-    index k maps to index k+2 / k-2 along parity, with the finite-block
-    wrap-around cases resolved by two rho queries (does a larger member
-    exist above me / above my successor).
+    index k maps to index normal_index(k, n, 1) for the block's unknown
+    size n: k+2 / k-2 along parity.  The order is written out here rather
+    than called, so that rho is asked only where a step can wrap (does a
+    larger member exist above me / above my successor).
     """
 
     kind = "from_rho"
@@ -372,7 +387,7 @@ class SeminormalFromRho(PermExpr):
         lr = self._cache.least_rep(x, fuel)
         if n == 0:
             i = self._cache.member_index(x, fuel)
-            return self._cache.nth_member(lr, delta(delta_inv(i) + step), fuel)
+            return self._cache.nth_member(lr, normal_index(i, None, step), fuel)
         last = self._cache.nth_member(lr, n - 1, fuel)
         members = self._cache.members_le(last, fuel)
         idx = members.index(x)
@@ -423,7 +438,10 @@ class OrbitCache:
 
     def value(self, base: int, k: int, fuel: Optional[Fuel] = None) -> int:
         f = fuel or Fuel()
-        fwd, bwd = self._orb.setdefault(base, ([base], [base]))
+        orb = self._orb.get(base)
+        if orb is None:
+            orb = self._orb[base] = ([base], [base])
+        fwd, bwd = orb
         if k >= 0:
             while len(fwd) <= k:
                 fwd.append(self.perm.fwd(fwd[-1], f))
@@ -432,16 +450,22 @@ class OrbitCache:
             bwd.append(self.perm.bwd(bwd[-1], f))
         return bwd[-k]
 
-    def find_k(self, base: int, target: int, fuel: Optional[Fuel] = None) -> int:
-        """Least k in xi order with perm^k(base) = target, one unit of fuel
-        per power tried.  The caller must know base and target share a
-        cycle; otherwise the search runs until the fuel is gone."""
-        fuel = fuel or Fuel()
-        for j in count():
+    def find(self, base: int, hit: Callable[[int], bool], fuel: Fuel,
+             first: int = 0) -> int:
+        """The xi-order orbit search (k = 0, -1, 1, -2, ...) the cycle
+        searches share: the least k, from the first-th in that order on,
+        with hit(perm^k(base)), one unit of fuel per power tried.  With no
+        such k the search runs until the fuel is gone."""
+        for j in count(first):
             fuel.spend()
             k = delta_inv(j)
-            if self.value(base, k, fuel) == target:
+            if hit(self.value(base, k, fuel)):
                 return k
+
+    def find_k(self, base: int, target: int, fuel: Optional[Fuel] = None) -> int:
+        """Least k in xi order with perm^k(base) = target; the caller must
+        know base and target share a cycle."""
+        return self.find(base, lambda v: v == target, fuel or Fuel())
 
 
 class ConjugatorSamePartition(PermExpr):

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -74,6 +75,64 @@ def test_gadget_modes_exit_clean():
         r = run_cli("gadget", mode)
         assert r.returncode == 0, (mode, r.stderr)
         assert r.stdout
+
+
+GADGET_TEXT = {
+    "halting": (
+        "halt-first\tcode=22\thalts-at=1\n"
+        "empty\tcode=0\thalts-at=1\n"
+        "inc-falls-off\tcode=2\thalts-at=1\n"
+        "inc-then-halt\tcode=302\thalts-at=1\n"
+        "drain-own-code\tcode=16\thalts-at=17\n"
+        "jump-off-end\tcode=154\thalts-at=1\n"
+        "pulse-then-drain\tcode=277142\thalts-at=3\n"
+        "two-incs-halt\tcode=7629\thalts-at=2\n"
+        "jump-over-inc\tcode=275655\thalts-at=1\n"
+        "double-pulse-drain\tcode=13817538231781\thalts-at=5\n"
+        "spin\tcode=37\tloops-forever=yes\n"
+        "pulse-spin\tcode=782\tloops-forever=yes\n"
+        "pingpong\tcode=43367\tloops-forever=yes\n"
+        "pulse-selfjump\tcode=12248\tloops-forever=yes\n"
+        "spin-before-halt\tcode=3830\tloops-forever=yes\n"
+        "double-pulse-spin\tcode=277888\tloops-forever=yes\n"
+        "spin-shadowed-inc\tcode=705\tloops-forever=yes\n"
+        "selfjump-before-halt\tcode=476802643\tloops-forever=yes\n"
+        "jump-to-selfjump\tcode=149333\tloops-forever=yes\n"
+        "pulse-spin-dead-halt\tcode=7014388\tloops-forever=yes\n"),
+    "oddlength": (
+        "base: transposition (0 1)\n"
+        "cycle of j(0): 0 -> 1 -> 6 -> 3 -> 10 -> 0\n"),
+    "interred-cd2cf": (
+        "block of embed(0,1): finite (1 element(s) walked)\n"
+        "block of embed(0,2): infinite (13 element(s) walked)\n"),
+    "interred-cf2cd": "j(0)=0 reaches j'(0)=1 in 3 square step(s)\n",
+    "conjreduction": (
+        "identity base: pointwise identity on [0,50): yes\n"
+        "evens base: block of 0 starts 0, 6, 8, 14, 16, 22, 24\n"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GADGET_TEXT))
+def test_gadget_output_text(mode):
+    r = run_cli("gadget", mode)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == GADGET_TEXT[mode]
+
+
+def test_orbit_text_of_a_fixed_point(fixtures):
+    r = run_cli("orbit", fixtures["g"], "7", "--steps", "3")
+    assert r.returncode == 0
+    assert r.stdout == "0\t7\n-1\t7\n1\t7\n"
+
+
+@pytest.mark.parametrize("strategy", ["bogus", "attached"])
+def test_malformed_cycle_eq_strategy_exit_code(tmp_path, strategy):
+    bad = tmp_path / "rel.json"
+    bad.write_text(json.dumps({"kind": "cycle_eq_of", "perm": {"kind": "identity"},
+                               "strategy": strategy, "reps": []}))
+    r = run_cli("decide", str(bad), "0", "1")
+    assert r.returncode == 1, r.stderr
+    assert r.stderr.startswith("error: ")
 
 
 def test_selfcheck_core_suite():

@@ -1,6 +1,7 @@
 import pytest
 
 from permdec import (
+    Exhausted,
     FinitaryProduct,
     Found,
     Fuel,
@@ -177,6 +178,18 @@ def test_transversal_decider_consumes_fuel():
     fuel = Fuel(100_000)
     assert d.payload(0, 4, fuel)
     assert fuel.used > 0
+
+
+def test_transversal_decider_answers_same_point_at_once():
+    w = cyc.CycleWitness(cyc.TRANSVERSAL, lambda e, fu=None: e, even_zigzag())
+    d = cyc.witness_convert(w, cyc.DECIDER)
+    assert d.payload(4001, 4001, Fuel(1))
+
+
+def test_reachability_semidecider_probe_counts():
+    # one probe per power tried: k = 0, -1, 1, -2, 2 reaches 8
+    assert cyc.reachability_semidecider(even_zigzag(), 0, 8, Fuel(100)) == Found(2, 5)
+    assert cyc.reachability_semidecider(even_zigzag(), 0, 3, Fuel(50)) == Exhausted(50)
 
 
 def test_reachability_semidecider():

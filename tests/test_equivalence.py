@@ -109,6 +109,15 @@ def test_cycle_eq_few_infinite_strategy():
     assert not eq_decide(eq, 2, 7)
 
 
+def test_cycle_eq_of_checks_strategy_and_witness_at_construction():
+    with pytest.raises(ValueError):
+        CycleEqOf(even_zigzag(), "bogus")
+    with pytest.raises(TypeError):
+        CycleEqOf(even_zigzag(), "attached")
+    with pytest.raises(TypeError):
+        CycleEqOf(even_zigzag(), "attached", witness=lambda x, y, fu=None: True)
+
+
 def test_halting_blocks_ground_truth():
     from permdec import machine
     from permdec.machine import DECJZ, HALT, program

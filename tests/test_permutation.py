@@ -29,6 +29,8 @@ from permdec import (
     perm_power,
     window_bijection_check,
 )
+from permdec.core import delta_inv
+from permdec.permutation import normal_index
 
 
 def test_even_zigzag_pinned_values():
@@ -174,6 +176,64 @@ def test_orbit_cache_find_k():
     assert oc.find_k(0, 6) == -2
     with pytest.raises(FuelExhausted):
         OrbitCache(Identity()).find_k(0, 1, Fuel(50))
+
+
+def test_orbit_cache_find_one_unit_per_power_and_first():
+    oc = OrbitCache(even_zigzag())   # its steps spend no fuel
+    fuel = Fuel(100)
+    assert oc.find(0, lambda v: v == 8, fuel) == 2
+    assert fuel.used == 5            # k = 0, -1, 1, -2, 2
+    fuel = Fuel(4)
+    with pytest.raises(FuelExhausted):
+        oc.find(0, lambda v: v == 8, fuel)
+    assert fuel.used == 4
+    swap = OrbitCache(Transposition(0, 1))
+    fuel = Fuel(100)
+    assert swap.find(0, lambda v: v == 0, fuel) == 0
+    assert fuel.used == 1
+    fuel = Fuel(100)
+    assert swap.find(0, lambda v: v == 0, fuel, first=1) == -2
+    assert fuel.used == 3            # k = -1, 1, -2
+    fuel = Fuel(100)
+    assert oc.find(0, lambda v: v == 8, fuel, first=4) == 2
+    assert fuel.used == 1
+
+
+def _walk(k, n, steps):
+    step = 1 if steps > 0 else -1
+    for _ in range(abs(steps)):
+        k = normal_index(k, n, step)
+    return k
+
+
+def test_normal_index_is_the_normal_order():
+    # a normal cycle's minimum (index 0) reaches member j after
+    # delta_inv(j) steps, and a step back undoes a step forward
+    for n in range(1, 41):
+        for j in range(n):
+            assert _walk(0, n, delta_inv(j)) == j, (n, j)
+            assert normal_index(normal_index(j, n, 1), n, -1) == j
+    for j in range(200):
+        assert _walk(0, None, delta_inv(j)) == j
+        assert normal_index(normal_index(j, None, 1), None, -1) == j
+
+
+def test_from_rho_follows_normal_index_on_finite_blocks():
+    # blocks of sizes 1..12 laid out as consecutive intervals
+    starts = [0]
+    for n in range(1, 13):
+        starts.append(starts[-1] + n)
+
+    def block(x):
+        return next((i for i in range(12) if x < starts[i + 1]), 12)
+
+    eq = OpaqueEq(lambda x, y: block(x) == block(y))
+    p = FromRho(eq, lambda x: block(x + 1) == block(x))
+    for n in range(1, 13):
+        a = list(range(starts[n - 1], starts[n]))
+        for k, x in enumerate(a):
+            assert perm_eval(p, x) == a[normal_index(k, n, 1)], (n, k)
+            assert perm_eval_inv(p, x) == a[normal_index(k, n, -1)], (n, k)
 
 
 def test_window_bijection_check_flags_bad_maps():

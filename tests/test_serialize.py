@@ -23,6 +23,7 @@ from permdec import (
     even_zigzag,
     perm_eval,
 )
+from permdec import cycles as cyc
 from permdec import gadgets as gd
 from permdec import normalform as nf
 from permdec.serialize import (
@@ -106,8 +107,9 @@ def test_opaque_eq_refuses_serialization():
 
 
 def test_attached_witness_refuses_serialization():
-    eq = CycleEqOf(even_zigzag(), "attached",
-                   witness=lambda x, y, fu=None: True)
+    g = even_zigzag()
+    w = cyc.CycleWitness(cyc.DECIDER, lambda x, y, fu=None: True, g)
+    eq = CycleEqOf(g, "attached", witness=w)
     with pytest.raises(SerializationError):
         dumps(eq)
 
