@@ -7,10 +7,18 @@ cycle witness and may therefore consume fuel.
 Four interchangeable views of the same relation are offered: the pair
 decider itself, per-block membership deciders, the enumeration of blocks in
 least-representative order, and the least-representative labeling.  A kind
-that knows the last two in closed form answers them itself through two
-optional hooks, _least_rep(x, fuel) and _next_member(x, fuel); BlockCache
-reads a hook first and rediscovers blocks with the decider only where one
-is missing (OpaqueEq, ImageEq, a decider-only CycleEqOf).
+that knows the last two cheaply answers them itself through two optional
+hooks, _least_rep(x, fuel) and _next_member(x, fuel); BlockCache reads a
+hook first and rediscovers blocks with the decider only where one is
+missing (OpaqueEq, ImageEq, a CycleEqOf with an attached decider) or where
+_least_rep returns None, which means "not known cheaply".
+
+A cycle relation's block of x is x's orbit.  Whether that orbit is finite
+is undecidable in general, so CycleEqOf with a decider-only strategy
+("one_infinite", "few_infinite") probes it: its _least_rep walks at most
+_PROBE_STEPS steps of the permutation from x, one unit of fuel each.  A
+closed orbit is the whole block, listed at once; an open one gives None,
+and BlockCache scans with the decider.
 """
 
 from __future__ import annotations
@@ -23,9 +31,13 @@ from .core import (
     Fuel,
     FuelExhausted,
     PreconditionViolation,
+    pair,
     unpair,
 )
 from . import machine
+
+# orbit steps a cycle relation's probe walks before it leaves x to the scan
+_PROBE_STEPS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +164,10 @@ class HaltingLabel(FunExpr):
 class EqExpr:
     """A decidable equivalence on N.
 
-    Optional closed forms, None where a kind has none (BlockCache then scans
-    with _decide):
-      _least_rep(x, fuel)    the least member of x's block
+    Optional hooks, None at class level where a kind has none (BlockCache
+    then scans with _decide):
+      _least_rep(x, fuel)    the least member of x's block, or None when it
+                             is not known cheaply (BlockCache then scans)
       _next_member(x, fuel)  the least member of x's block above x, or None
                              when the block has none
     """
@@ -163,13 +176,32 @@ class EqExpr:
     _least_rep = None
     _next_member = None
     # (members, scanned, reps, rep_of), shared by every BlockCache over this
-    # node.  Ints only: a cache stored here would point back at the node, a
-    # cycle that only the collector frees.  A class-level None, because
-    # reading self.__dict__ instead slows every attribute load of the node.
+    # node: lr -> sorted members listed so far; lr -> first natural a scan
+    # has not tested, absent once the whole block is listed; the reps a scan
+    # found; point -> least representative.  Ints only: a cache stored here
+    # would point back at the node, a cycle that only the collector frees.
+    # A class-level None, because reading self.__dict__ instead slows every
+    # attribute load of the node.
     _blocks = None
 
     def _decide(self, x: int, y: int, fuel: Fuel) -> bool:
         raise NotImplementedError
+
+    def _block_state(self) -> tuple:
+        if self._blocks is None:
+            self._blocks = ({}, {}, [], {})
+        return self._blocks
+
+    def _list_whole_block(self, block: list[int]) -> int:
+        """Record block as the whole of one block; return its least member."""
+        block.sort()
+        members, scanned, _, rep_of = self._block_state()
+        lr = block[0]
+        members[lr] = block
+        scanned.pop(lr, None)
+        for y in block:
+            rep_of[y] = lr
+        return lr
 
 
 class Singletons(EqExpr):
@@ -258,8 +290,12 @@ class CycleEqOf(EqExpr):
       "attached"            a runtime CycleWitness was attached directly
     witness is the attached one, or else the strategy's, built on first
     use.  _decide asks its decider, and a min-rep witness is also the
-    _least_rep closed form.  An unknown strategy, or "attached" without a
-    CycleWitness, is refused at construction.
+    _least_rep closed form.  "one_infinite" and "few_infinite" have no
+    min-rep witness; their _least_rep is the orbit probe of the module
+    docstring.  "attached" without a min-rep witness has no _least_rep: its
+    subject may read this relation's own blocks (ConjReductionPerm), so a
+    probe could recurse without end.  An unknown strategy, or "attached"
+    without a CycleWitness, is refused at construction.
     """
 
     kind = "cycle_eq_of"
@@ -300,9 +336,25 @@ class CycleEqOf(EqExpr):
 
     @property
     def _least_rep(self):
+        if self.strategy in ("one_infinite", "few_infinite"):
+            return self._orbit_least
         from .cycles import MIN_REP
         w = self._get_witness()
         return w.payload if w.kind == MIN_REP else None
+
+    def _orbit_least(self, x: int, fuel: Fuel) -> Optional[int]:
+        # the orbit is recorded only once it closes, so a probe cut short by
+        # fuel leaves no partial block
+        fwd = self.perm.fwd
+        orbit = [x]
+        v = x
+        for _ in range(_PROBE_STEPS):
+            fuel.spend()
+            v = fwd(v, fuel)
+            if v == x:
+                return self._list_whole_block(orbit)
+            orbit.append(v)
+        return None
 
 
 class ImageEq(EqExpr):
@@ -321,7 +373,13 @@ class ImageEq(EqExpr):
 
 
 class CoproductEq(EqExpr):
-    """Pair codes related iff indices match and components relate at the index."""
+    """Pair codes related iff indices match and components relate at the index.
+
+    pair(z, .) is increasing, so the least representative of pair(z, a) is
+    pair(z, r) with r the member's least representative of a: _least_rep
+    reads the member's hook, and is None where the member's is.  There is
+    no _next_member: its None would mean "no member above", which a member
+    without that hook cannot promise."""
 
     kind = "coproduct"
 
@@ -334,6 +392,12 @@ class CoproductEq(EqExpr):
         if z != z2:
             return False
         return self.family.member(z)._decide(a, b, fuel)
+
+    def _least_rep(self, x: int, fuel: Fuel) -> Optional[int]:
+        z, a = unpair(x)
+        least = self.family.member(z)._least_rep
+        r = None if least is None else least(a, fuel)
+        return None if r is None else pair(z, r)
 
 
 class PiXY(EqExpr):
@@ -439,25 +503,29 @@ class PiXYFamily(FamilyExpr):
 
 
 class BlockDecider:
-    """Membership test for one block, tagged with where it came from."""
+    """Membership test for one block, tagged with where it came from.  fn
+    takes the point and a Fuel; a call that brings no Fuel pays with the
+    one the decider was made with, or else with a fresh Fuel()."""
 
-    __slots__ = ("fn", "source", "eq")
+    __slots__ = ("fn", "source", "eq", "fuel")
 
-    def __init__(self, fn: Callable[[int], bool], source: int, eq: Optional[EqExpr]):
+    def __init__(self, fn: Callable[[int, Fuel], bool], source: int,
+                 eq: Optional[EqExpr], fuel: Optional[Fuel] = None):
         self.fn = fn
         self.source = source
         self.eq = eq
+        self.fuel = fuel
 
-    def __call__(self, y: int) -> bool:
-        return self.fn(y)
+    def __call__(self, y: int, fuel: Optional[Fuel] = None) -> bool:
+        return self.fn(y, fuel or self.fuel or Fuel())
 
 
 def eq_decide(eq: EqExpr, x: int, y: int, fuel: Optional[Fuel] = None) -> bool:
     return eq._decide(x, y, fuel or Fuel())
 
 
-def block_decider(eq: EqExpr, x: int) -> BlockDecider:
-    return BlockDecider(lambda y: eq._decide(x, y, Fuel()), x, eq)
+def block_decider(eq: EqExpr, x: int, fuel: Optional[Fuel] = None) -> BlockDecider:
+    return BlockDecider(lambda y, fu: eq._decide(x, y, fu), x, eq, fuel)
 
 
 def least_representative(eq: EqExpr, x: int, fuel: Optional[Fuel] = None) -> int:
@@ -470,7 +538,8 @@ def least_representative(eq: EqExpr, x: int, fuel: Optional[Fuel] = None) -> int
 
 def nth_block_decider(eq: EqExpr, i: int, fuel: Fuel) -> Union[BlockDecider, Exhausted]:
     """Decider of the i-th block in least-representative order, or Exhausted
-    when the search runs past the last block (it would otherwise diverge)."""
+    when the search runs past the last block (it would otherwise diverge).
+    The decider goes on paying with fuel when called without a Fuel."""
     reps: list[int] = []
     candidate = 0
     while len(reps) <= i:
@@ -479,7 +548,7 @@ def nth_block_decider(eq: EqExpr, i: int, fuel: Fuel) -> Union[BlockDecider, Exh
         if all(not eq._decide(r, candidate, fuel) for r in reps):
             reps.append(candidate)
         candidate += 1
-    return block_decider(eq, reps[i])
+    return block_decider(eq, reps[i], fuel)
 
 
 def block_index(eq: EqExpr, x: int, fuel: Optional[Fuel] = None) -> int:
@@ -529,43 +598,43 @@ class BlockCache:
     """Block questions about one relation: least representatives and the
     increasing enumeration of each block.
 
-    A kind's closed forms (_least_rep, _next_member) answer first.  Where
-    one is missing the cache scans with _decide.  A point -> least
-    representative memo is filled by least_rep and by the block scans; it is
-    sound because the relation is fixed, so a point's least representative
-    never changes, and a point seen once costs no further work.  The memo,
-    the listed members of each block and the scan state live on the
-    relation node, so every BlockCache over one node shares them.
+    A kind's hooks (_least_rep, _next_member) answer first.  Where one is
+    missing, or _least_rep returns None, the cache scans with _decide;
+    _find_least_rep is that one fallback.  A point -> least representative
+    memo is filled by least_rep and by the block scans; it is sound because
+    the relation is fixed, so a point's least representative never changes,
+    and a point seen once costs no further work.  The memo, the listed
+    members of each block and the scan state live on the relation node, so
+    every BlockCache over one node shares them.  A hook may list a block
+    whole (a cycle relation's closed orbit): it needs no scan, and
+    next_greater above its last member fails at once.
 
-    Fuel: every decide a scan makes, and every member a closed form lists,
-    costs one unit of the caller's fuel.  So a scan that would only end
-    under a violated caller obligation (next_greater on a finite block)
-    raises FuelExhausted; where a closed form proves there is no larger
-    member, the rest of the budget is spent at once, or PreconditionViolation
-    is raised under an unbounded Fuel.  The public methods make a Fuel()
-    when called without one.
+    Fuel: every decide a scan makes, every orbit step a probe walks, and
+    every member a closed form lists, costs one unit of the caller's fuel.
+    So a scan that would only end under a violated caller obligation
+    (next_greater on a finite block) raises FuelExhausted; where a hook
+    proves there is no larger member, the rest of the budget is spent at
+    once, or PreconditionViolation is raised under an unbounded Fuel.  The
+    public methods make a Fuel() when called without one.
     """
 
     def __init__(self, eq: EqExpr):
         self.eq = eq
         self._least = eq._least_rep
         self._next = eq._next_member
-        if eq._blocks is None:
-            eq._blocks = ({}, {}, [], {})
-        # lr -> sorted members listed so far; lr -> first natural a scan has
-        # not tested; the reps a scan found; point -> least representative
-        self._members, self._scanned, self._reps, self._rep_of = eq._blocks
+        self._members, self._scanned, self._reps, self._rep_of = eq._block_state()
 
     def least_rep(self, x: int, fuel: Optional[Fuel] = None) -> int:
         r = self._rep_of.get(x)
         if r is None:
-            if self._least is None:
-                r = self._find_least_rep(x, fuel or Fuel())
-            else:
-                r = self._least(x, fuel or Fuel())
-                if r not in self._members:
-                    self._members[r] = [r]
-                    self._scanned[r] = r + 1
+            fuel = fuel or Fuel()
+            if self._least is not None:
+                r = self._least(x, fuel)
+            if r is None:
+                r = self._find_least_rep(x, fuel)
+            elif r not in self._members:
+                self._members[r] = [r]
+                self._scanned[r] = r + 1
             self._rep_of[x] = r
         return r
 
@@ -600,7 +669,9 @@ class BlockCache:
                 mem.append(y)
                 self._rep_of[y] = lr
             return
-        y = self._scanned[lr]
+        y = self._scanned.get(lr)
+        if y is None:
+            return  # listed whole
         try:
             while y <= bound:
                 fuel.spend()
@@ -636,7 +707,9 @@ class BlockCache:
             mem.append(y)
             self._rep_of[y] = lr
             return y
-        y = self._scanned[lr]
+        y = self._scanned.get(lr)
+        if y is None:
+            self._none_above(x, fuel)  # listed whole
         while True:
             fuel.spend()
             if self.eq._decide(lr, y, fuel):

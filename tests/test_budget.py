@@ -2,12 +2,15 @@
 
 Every PermExpr and EqExpr kind the serializer knows is evaluated under tiny
 budgets: it answers as under the default budget, or raises FuelExhausted,
-and a run that ran out leaves its caches sound for the next call.
+and a run that ran out leaves its caches sound for the next call.  A
+relation is asked its pair decider and its BlockCache's block questions, so
+a block scan or orbit probe cut short must leave no partial block.
 """
 
 import pytest
 
 from permdec import (
+    BlockCache,
     Compose,
     ConjReductionPerm,
     ConjugatorSamePartition,
@@ -53,6 +56,12 @@ from permdec.selfcheck import evens_odds
 
 ZIG = even_zigzag()
 FIN = FinitaryProduct([(0, 1), (1, 2), (5, 9)])
+# ZIG's evens; the 3-cycle (1 5 9), the 17-cycle 7, 11, ..., 71 and the
+# 9-cycle 65, 69, ..., 97; the rest fixed.  Orbit probes that small budgets
+# cut short, and one that outruns the probe
+PROBED = Compose(ZIG, FinitaryProduct([(1, 5), (5, 9)]
+                                      + [(p, p + 4) for p in range(7, 71, 4)]
+                                      + [(p, p + 4) for p in range(65, 97, 4)]))
 BUDGETS = (0, 1, 2, 5, 20, 100)
 # far points make a block scan run out part-way, after finding members
 POINTS = (*range(10), 40, 97)
@@ -83,6 +92,7 @@ FIXTURES = [
     ("modulo", lambda: Modulo(3)),
     ("fibers_of", lambda: FibersOf(ModFun(4))),
     ("cycle_eq_of", lambda: CycleEqOf(ZIG, "one_infinite")),
+    ("cycle_eq_of", lambda: CycleEqOf(PROBED, "one_infinite")),
     ("cycle_eq_of", lambda: CycleEqOf(evens_odds(), "few_infinite", reps=[0, 1])),
     ("cycle_eq_of", lambda: CycleEqOf(ZIG, "normal")),
     ("image", lambda: ImageEq(Modulo(3), FIN)),
@@ -96,8 +106,11 @@ def _queries(obj):
     if isinstance(obj, PermExpr):
         return ([lambda fu, x=x: perm_eval(obj, x, fu) for x in POINTS]
                 + [lambda fu, x=x: perm_eval_inv(obj, x, fu) for x in POINTS])
-    return [lambda fu, x=x, y=y: eq_decide(obj, x, y, fu)
-            for x in range(8) for y in range(8)]
+    bc = BlockCache(obj)
+    return ([lambda fu, x=x, y=y: eq_decide(obj, x, y, fu)
+             for x in range(8) for y in range(8)]
+            + [lambda fu, x=x: bc.least_rep(x, fu) for x in POINTS]
+            + [lambda fu, x=x: bc.members_le(x, fu) for x in POINTS])
 
 
 def test_every_serializable_kind_has_a_fixture():

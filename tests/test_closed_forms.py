@@ -3,7 +3,9 @@
 A relation kind with _least_rep/_next_member must answer every BlockCache
 question as a scan with its own decider does, and as the brute-force
 least_representative does.  The scan is run through an OpaqueEq of the same
-decider, which has no closed form.
+decider, which has no closed form.  A cycle relation's orbit probe, and a
+coproduct's _least_rep, are held to the same answers, also where they give
+None and leave a point to the scan.
 """
 
 import gc
@@ -13,6 +15,7 @@ import pytest
 
 from permdec import (
     BlockCache,
+    Compose,
     CycleEqOf,
     EqExpr,
     FibersOf,
@@ -22,6 +25,7 @@ from permdec import (
     FuelExhausted,
     Full,
     HaltingLabel,
+    Identity,
     Modulo,
     OpaqueEq,
     PiXY,
@@ -31,13 +35,17 @@ from permdec import (
     TableThenIdentity,
     decider_from_normal,
     even_zigzag,
+    halting_equivalence,
     least_representative,
     normalize,
+    pair,
     perm_eval,
     perm_eval_inv,
     witness_to_eq,
 )
+from permdec import cycles as cyc
 from permdec import gadgets as gd
+from permdec.equivalence import _PROBE_STEPS, ConstantFamily, CoproductEq, PiXYFamily
 
 WINDOW = 40
 SCAN_FUEL = 200  # every next member in the window lies closer
@@ -47,6 +55,11 @@ LOOPS = dict(gd.looping_fixtures())["spin"]
 TABLE = {0: 9, 1: 9, 3: 5, 5: 3, 8: 8, 12: 2, 20: 21, 21: 30, 22: 21}
 NORMAL = FromRho(Modulo(3), RhoConst(True))
 ZIG = even_zigzag()
+# ZIG's evens; the 3-cycle (1 5 9), the 17-cycle 7, 11, ..., 71, longer
+# than the probe, and the 9-cycle 65, 69, ..., 97; 3, 13, 17, ... fixed
+PROBED = Compose(ZIG, FinitaryProduct([(1, 5), (5, 9)]
+                                      + [(p, p + 4) for p in range(7, 71, 4)]
+                                      + [(p, p + 4) for p in range(65, 97, 4)]))
 
 CLOSED_FORMS = [
     ("singletons", Singletons),
@@ -63,6 +76,12 @@ CLOSED_FORMS = [
     ("pi_xy_same_point", lambda: PiXY(ZIG, 4, 4)),
     ("cycle_eq_normal", lambda: CycleEqOf(ZIG, "normal")),
     ("cycle_eq_min_rep", lambda: witness_to_eq(decider_from_normal(NORMAL))),
+    ("cycle_eq_one_infinite", lambda: CycleEqOf(PROBED, "one_infinite")),
+    ("cycle_eq_few_infinite", lambda: CycleEqOf(PROBED, "few_infinite", reps=[0])),
+    ("coproduct_halting", lambda: halting_equivalence("cf")),
+    ("coproduct_pi_xy", lambda: CoproductEq(PiXYFamily(ZIG))),
+    # a member probe that gives None leaves the code to the scan
+    ("coproduct_probed", lambda: CoproductEq(ConstantFamily(CycleEqOf(PROBED, "one_infinite")))),
 ]
 
 
@@ -104,10 +123,17 @@ def test_closed_forms_match_the_scan(make):
 def test_the_closed_forms_cover_the_listed_kinds():
     assert FibersOf(TableThenIdentity({}))._next_member is not None
     assert PiXY(ZIG, 0, 3)._next_member is not None
-    # a decider-only relation, and the halting labels' members, are scanned
+    # the decider-only cycle strategies probe the orbit
+    assert CycleEqOf(ZIG, "one_infinite")._least_rep is not None
+    assert CycleEqOf(ZIG, "few_infinite", reps=[0])._least_rep is not None
+    # a decider-only relation, an attached decider, the halting labels'
+    # members, and a coproduct of scanned members are scanned
     assert OpaqueEq(lambda x, y: x == y)._least_rep is None
-    assert CycleEqOf(ZIG, "one_infinite")._least_rep is None
+    attached = cyc.CycleWitness(cyc.DECIDER, lambda x, y, fu=None: x == y, Identity())
+    assert CycleEqOf(Identity(), "attached", witness=attached)._least_rep is None
     assert FibersOf(HaltingLabel("cf", LOOPS))._next_member is None
+    opaque_members = CoproductEq(ConstantFamily(OpaqueEq(lambda x, y: x == y)))
+    assert opaque_members._least_rep(pair(2, 3), Fuel()) is None
 
 
 def test_a_closed_form_charges_one_unit_per_listed_member():
@@ -136,6 +162,62 @@ def test_no_member_above_spends_the_rest_at_once():
         table.next_greater(9, Fuel(None))
     with pytest.raises(PreconditionViolation, match=r"pi_xy.* 4 "):
         BlockCache(PiXY(ZIG, 4, 14)).next_greater(4, Fuel(None))
+
+
+def _counting(eq):
+    calls = []
+    decide = eq._decide
+    eq._decide = lambda x, y, fu: calls.append((x, y)) or decide(x, y, fu)
+    return eq, calls
+
+
+def test_a_closed_orbit_is_listed_whole_without_a_decide():
+    eq, calls = _counting(CycleEqOf(PROBED, "one_infinite"))
+    bc = BlockCache(eq)
+    fuel = Fuel()
+    assert bc.least_rep(9, fuel) == 1
+    assert fuel.used == 3  # one unit per orbit step
+    assert bc.members_le(9) == [1, 5, 9]
+    assert [bc.nth_member(1, j) for j in range(3)] == [1, 5, 9]
+    assert bc.least_rep(13) == 13 and bc.member_index(13) == 0
+    assert calls == []
+    # an orbit longer than the probe is left to the scan
+    assert _PROBE_STEPS < 17
+    fuel = Fuel()
+    assert bc.least_rep(39, fuel) == 7
+    assert fuel.used > _PROBE_STEPS and calls
+
+
+def test_a_probe_cut_short_leaves_no_partial_block():
+    eq = CycleEqOf(PROBED, "one_infinite")
+    fuel = Fuel(2)
+    with pytest.raises(FuelExhausted):
+        BlockCache(eq).least_rep(9, fuel)
+    assert fuel.used == 2
+    assert eq._blocks == ({}, {}, [], {})
+    assert BlockCache(eq).members_le(9) == [1, 5, 9]
+
+
+def test_a_closed_block_knows_it_is_complete():
+    # a scan would test every point above 9 until the budget is gone
+    eq, calls = _counting(CycleEqOf(FinitaryProduct([(0, 1), (1, 2), (5, 9)]), "one_infinite"))
+    bc = BlockCache(eq)
+    fuel = Fuel()
+    with pytest.raises(FuelExhausted, match=r"cycle_eq_of.* 9 "):
+        bc.next_greater(9, fuel)
+    assert fuel.used == fuel.budget
+    assert calls == []
+    assert bc.next_greater(5) == 9
+    with pytest.raises(PreconditionViolation, match=r"cycle_eq_of.* 2 "):
+        bc.next_greater(2, Fuel(None))
+    # a block a scan began, then listed whole by a probe
+    eq = CycleEqOf(PROBED, "one_infinite")
+    bc = BlockCache(eq)
+    assert bc._find_least_rep(5, Fuel()) == 1
+    assert bc.least_rep(9) == 1
+    assert bc.members_le(9) == [1, 5, 9]
+    with pytest.raises(FuelExhausted, match=r"cycle_eq_of.* 9 "):
+        bc.next_greater(9, Fuel(10**9))
 
 
 @pytest.mark.parametrize("make_f", [even_zigzag, lambda: FromRho(Modulo(3), RhoConst(True))],

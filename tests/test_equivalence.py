@@ -64,6 +64,26 @@ def test_nth_block_decider_in_least_representative_order():
     assert found == [0, 1, 2, 3]
 
 
+def test_a_block_decider_spends_the_callers_fuel():
+    # 400 is 100 steps along the evens' cycle from 0
+    eq = CycleEqOf(even_zigzag(), "one_infinite")
+    with pytest.raises(FuelExhausted):
+        eq_decide(eq, 0, 400, Fuel(5))
+    bd = nth_block_decider(eq, 0, Fuel(5))
+    with pytest.raises(FuelExhausted):
+        bd(400)
+    assert nth_block_decider(eq, 0, Fuel())(400)
+    # a call that brings a Fuel pays with it; one without gets a Fuel()
+    bd = block_decider(eq, 0)
+    fuel = Fuel(5)
+    with pytest.raises(FuelExhausted):
+        bd(400, fuel)
+    assert fuel.used == 5
+    assert bd(400) and not bd(401)
+    fuel = Fuel()
+    assert bd(400, fuel) and fuel.used >= 100
+
+
 def test_nth_block_decider_exhausts_past_last_block():
     eq = Modulo(2)
     out = nth_block_decider(eq, 5, Fuel(2000))

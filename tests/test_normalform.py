@@ -89,7 +89,7 @@ def test_rho_from_perm_roundtrip():
 
 def test_build_cycle_from_set():
     eq = _evens_eq()
-    member = BlockDecider(lambda y: y % 2 == 0, eq=eq, source=0)
+    member = BlockDecider(lambda y, fuel: y % 2 == 0, eq=eq, source=0)
     p = nf.build_cycle_from_set(member)
     g = even_zigzag()
     assert all(perm_eval(p, x) == perm_eval(g, x) for x in range(60))
