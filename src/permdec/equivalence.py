@@ -24,6 +24,7 @@ and BlockCache scans with the decider.
 from __future__ import annotations
 
 import bisect
+import math
 from typing import Callable, Optional, Union
 
 from .core import (
@@ -401,7 +402,15 @@ class CoproductEq(EqExpr):
 
 
 class PiXY(EqExpr):
-    """i ~ j iff i = j or no power f^k with |k| <= max(i,j) maps x to y."""
+    """i ~ j iff i = j or no power f^k with |k| <= max(i,j) maps x to y.
+
+    The search walks f^k(x) and f^-k(x) together, k = 1, 2, ...  Whether
+    it ever hits y is undecidable in general, but a closed orbit settles
+    it: f is a bijection, so the forward walk first returns to x at x's
+    period p, and by then every |k| <= p is checked.  Each point of the
+    orbit is f^k(x) for some |k| <= p/2, so a y on it was already hit.
+    From then on every question about the member is answered with no
+    permutation step."""
 
     kind = "pi_xy"
 
@@ -412,7 +421,7 @@ class PiXY(EqExpr):
         self._fwd = [x]   # f^0(x), f^1(x), ...
         self._bwd = [x]   # f^0(x), f^-1(x), ...
         self._hit: Optional[int] = None  # least |k| with f^k(x) = y, once known
-        self._checked = 0                # bound up to which absence is known
+        self._checked = 0  # bound up to which absence is known; inf once closed
 
     def _reaches_within(self, bound: int, fuel: Fuel) -> bool:
         if self._hit is not None:
@@ -426,7 +435,7 @@ class PiXY(EqExpr):
             if self._fwd[k] == self.y or self._bwd[k] == self.y:
                 self._hit = k
                 return True
-            self._checked = k
+            self._checked = math.inf if self._fwd[k] == self.x else k
         return False
 
     def _decide(self, i: int, j: int, fuel: Fuel) -> bool:
@@ -682,13 +691,21 @@ class BlockCache:
         finally:
             self._scanned[lr] = y
 
-    def members_le(self, x: int, fuel: Optional[Fuel] = None) -> list[int]:
-        """Sorted members of x's block that are <= x."""
-        fuel = fuel or Fuel()
+    def _position(self, x: int, fuel: Fuel) -> tuple[list[int], int]:
+        """The cache's own sorted member list of x's block, listed at least
+        up to x, and x's index in it, with no copy.  The list is shared
+        block state: callers read it and never change it.  The cache only
+        appends to it or lists the block anew, so its entries up to x's
+        index stay valid."""
         lr = self.least_rep(x, fuel)
         self._extend_to(lr, x, fuel)
         mem = self._members[lr]
-        return mem[: bisect.bisect_right(mem, x)]
+        return mem, bisect.bisect_right(mem, x) - 1
+
+    def members_le(self, x: int, fuel: Optional[Fuel] = None) -> list[int]:
+        """Sorted members of x's block that are <= x (a fresh list)."""
+        mem, i = self._position(x, fuel or Fuel())
+        return mem[: i + 1]
 
     def next_greater(self, x: int, fuel: Optional[Fuel] = None) -> int:
         """Least block member strictly above x; the caller must know one exists."""
@@ -730,7 +747,7 @@ class BlockCache:
 
     def member_index(self, x: int, fuel: Optional[Fuel] = None) -> int:
         """Index of x in the increasing enumeration of its block."""
-        return len(self.members_le(x, fuel)) - 1
+        return self._position(x, fuel or Fuel())[1]
 
     def nth_member(self, lr: int, j: int, fuel: Optional[Fuel] = None) -> int:
         """j-th member (0-based, increasing) of the block with least rep lr."""

@@ -171,7 +171,9 @@ def odd_length_gadget(g: PermExpr) -> tuple[PermExpr, Callable[[int], int]]:
 class RhoPiXY(RhoExpr):
     """Coproduct greater-element rule for the power-window family: index i
     of a member PiXY(f, x, y) has a larger blockmate iff i+1 is still
-    related to i, i.e. no power within the widened window maps x to y."""
+    related to i, i.e. no power within the widened window maps x to y.
+    Once x's orbit under f has closed without a hit, the member answers
+    True for every i with no further step of f."""
 
     kind = "rho_pi_xy"
     rho_kind = "coproduct_greater"
@@ -187,7 +189,10 @@ class RhoPiXY(RhoExpr):
 
 class InterredCFPerm(CoproductPerm):
     """The coproduct permutation whose cycle at <<x,y>, 0> is finite exactly
-    when some power of f maps x to y."""
+    when some power of f maps x to y.  That search is undecidable in
+    general, but a closed orbit settles it: once the walk of a member
+    PiXY(f, x, y) returns to x without meeting y, its one block is known to
+    be infinite, and later steps there take no further step of f."""
 
     kind = "interred_cf"
 

@@ -82,11 +82,11 @@ class RhoClosure(RhoExpr):
         if x in self._memo:
             return self._memo[x]
         fuel = fuel or Fuel()
-        members = self._cache.members_le(x, fuel)
+        members, i = self._cache._position(x, fuel)
         lr = members[0]
         st = self._state.setdefault(
             lr, {"n": 0, "seen": set(), "escapes": 0, "waiting": {}})
-        while st["n"] < len(members):
+        while st["n"] <= i:
             m = members[st["n"]]
             st["seen"].add(m)
             fm = perm_eval(self.f, m, fuel)

@@ -343,8 +343,7 @@ class FromRho(PermExpr):
         self._cache = BlockCache(eq)
 
     def fwd(self, x: int, fuel: Fuel) -> int:
-        members = self._cache.members_le(x, fuel)
-        k = len(members) - 1
+        members, k = self._cache._position(x, fuel)
         if k % 2 == 0:
             if self._rho(x, fuel):
                 x1 = self._cache.next_greater(x, fuel)
@@ -355,8 +354,7 @@ class FromRho(PermExpr):
         return members[0] if k == 1 else members[k - 2]
 
     def bwd(self, m: int, fuel: Fuel) -> int:
-        members = self._cache.members_le(m, fuel)
-        t = len(members) - 1
+        members, t = self._cache._position(m, fuel)
         if t % 2 == 0:
             if t >= 2:
                 return members[t - 2]
@@ -388,10 +386,13 @@ class SeminormalFromRho(PermExpr):
         if n == 0:
             i = self._cache.member_index(x, fuel)
             return self._cache.nth_member(lr, normal_index(i, None, step), fuel)
-        last = self._cache.nth_member(lr, n - 1, fuel)
-        members = self._cache.members_le(last, fuel)
-        idx = members.index(x)
-        return members[(idx + step) % n]
+        self._cache.nth_member(lr, n - 1, fuel)
+        members, i = self._cache._position(x, fuel)
+        if i >= n:
+            raise PreconditionViolation(
+                f"{self.kind}: rho gives the block of {x} {n} members, "
+                f"but {x} is its member of index {i}")
+        return members[(i + step) % n]
 
     def fwd(self, x: int, fuel: Fuel) -> int:
         return self._map(x, 1, fuel)

@@ -30,6 +30,7 @@ from permdec import (
     ModFun,
     Modulo,
     NormalFromSet,
+    OpaqueEq,
     OddLengthGadget,
     PermExpr,
     PiXY,
@@ -99,6 +100,19 @@ FIXTURES = [
     ("coproduct", lambda: halting_equivalence("cf")),
     ("pi_xy", lambda: PiXY(ZIG, 4, 14)),
 ]
+# PiXY members whose walk from x closes.  Over a finitary permutation,
+# whose steps are free: x a fixed point, y on another cycle, y on x's
+# cycle, and y = f(x) on a 2-cycle.  Over the 5-cycles {5i, ..., 5i+4},
+# whose steps scan a block, so that the budgets cut the walk itself short
+CYCLES = FinitaryProduct([(0, 1), (1, 2), (2, 3), (3, 4), (6, 8), (8, 10), (12, 13)])
+CLOSING = [
+    ("fixed_point", lambda: PiXY(CYCLES, 5, 7)),
+    ("other_cycle", lambda: PiXY(CYCLES, 0, 8)),
+    ("one_cycle", lambda: PiXY(CYCLES, 1, 4)),
+    ("two_cycle", lambda: PiXY(CYCLES, 12, 13)),
+    ("walk_cut_short", lambda: PiXY(SeminormalFromRho(
+        OpaqueEq(lambda x, y: x // 5 == y // 5), RhoCardConst(5)), 0, 8)),
+]
 
 
 def _queries(obj):
@@ -119,11 +133,9 @@ def test_every_serializable_kind_has_a_fixture():
     assert kinds == {kind for kind, _ in FIXTURES}
 
 
-@pytest.mark.parametrize("kind, make", FIXTURES, ids=[k for k, _ in FIXTURES])
-def test_small_budgets_answer_right_or_run_out(kind, make):
+def _answers_right_or_run_out(make):
     expected = [q(Fuel()) for q in _queries(make())]
     obj = make()
-    assert obj.kind == kind
     queries = _queries(obj)
     for budget in BUDGETS:
         for q, want in zip(queries, expected):
@@ -134,6 +146,17 @@ def test_small_budgets_answer_right_or_run_out(kind, make):
             assert got == want
     # whatever ran out part-way left the caches sound
     assert [q(Fuel()) for q in queries] == expected
+
+
+@pytest.mark.parametrize("kind, make", FIXTURES, ids=[k for k, _ in FIXTURES])
+def test_small_budgets_answer_right_or_run_out(kind, make):
+    assert make().kind == kind
+    _answers_right_or_run_out(make)
+
+
+@pytest.mark.parametrize("make", [m for _, m in CLOSING], ids=[n for n, _ in CLOSING])
+def test_small_budgets_on_closing_pi_xy_walks(make):
+    _answers_right_or_run_out(make)
 
 
 def test_from_rho_charges_the_callers_fuel():

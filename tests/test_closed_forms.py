@@ -60,6 +60,9 @@ ZIG = even_zigzag()
 PROBED = Compose(ZIG, FinitaryProduct([(1, 5), (5, 9)]
                                       + [(p, p + 4) for p in range(7, 71, 4)]
                                       + [(p, p + 4) for p in range(65, 97, 4)]))
+# the 5-cycle (0 1 2 3 4), the 3-cycle (6 8 10) and the 2-cycle (12 13);
+# every other point fixed
+CYCLES = FinitaryProduct([(0, 1), (1, 2), (2, 3), (3, 4), (6, 8), (8, 10), (12, 13)])
 
 CLOSED_FORMS = [
     ("singletons", Singletons),
@@ -74,6 +77,11 @@ CLOSED_FORMS = [
     ("pi_xy_related", lambda: PiXY(ZIG, 4, 14)),
     ("pi_xy_unrelated", lambda: PiXY(ZIG, 0, 3)),
     ("pi_xy_same_point", lambda: PiXY(ZIG, 4, 4)),
+    # x's orbit closes: a fixed point, another cycle, and y on x's cycle
+    ("pi_xy_closed_fixed_point", lambda: PiXY(CYCLES, 5, 7)),
+    ("pi_xy_closed_other_cycle", lambda: PiXY(CYCLES, 0, 8)),
+    ("pi_xy_closed_one_cycle", lambda: PiXY(CYCLES, 1, 4)),
+    ("pi_xy_closed_two_cycle", lambda: PiXY(CYCLES, 12, 13)),
     ("cycle_eq_normal", lambda: CycleEqOf(ZIG, "normal")),
     ("cycle_eq_min_rep", lambda: witness_to_eq(decider_from_normal(NORMAL))),
     ("cycle_eq_one_infinite", lambda: CycleEqOf(PROBED, "one_infinite")),

@@ -14,6 +14,7 @@ from permdec import (
     ModFun,
     Modulo,
     OpaqueEq,
+    PermExpr,
     PiXY,
     Singletons,
     TableThenIdentity,
@@ -207,6 +208,21 @@ def test_block_cache_least_rep_matches_and_is_memoised():
     assert len(calls) == seen
 
 
+@pytest.mark.parametrize("eq", [Modulo(3), OpaqueEq(lambda x, y: x % 3 == y % 3)],
+                         ids=["closed_form", "scanned"])
+def test_the_lists_members_le_returns_are_copies(eq):
+    bc = BlockCache(eq)
+    got = bc.members_le(9)
+    assert got == [0, 3, 6, 9]
+    got.append(100)
+    got.sort(reverse=True)
+    got[0] = 1
+    assert bc.members_le(9) == [0, 3, 6, 9]
+    assert bc.member_index(9) == 3
+    assert bc.nth_member(0, 4) == 12
+    assert bc.members_le(12) == [0, 3, 6, 9, 12]
+
+
 def _power_distances(f, x, y, bound):
     """Every |k| <= bound with f^k(x) = y, by walking the cycle both ways."""
     out = set()
@@ -230,6 +246,59 @@ def test_pi_xy_matches_brute_force_on_even_zigzag(x, y):
         for i, j in order:
             expected = i == j or not any(k <= max(i, j) for k in hits)
             assert eq_decide(eq, i, j) == expected, (i, j)
+
+
+# the 5-cycle (0 1 2 3 4), the 3-cycle (6 8 10) and the 2-cycle (12 13);
+# every other point fixed
+CYCLES = FinitaryProduct([(0, 1), (1, 2), (2, 3), (3, 4), (6, 8), (8, 10), (12, 13)])
+
+
+@pytest.mark.parametrize("x, y, hits", [
+    (5, 7, set()),                   # x a fixed point
+    (0, 8, set()),                   # x and y on different finite cycles
+    (1, 4, {k for k in range(26) if k % 5 in (2, 3)}),  # one cycle
+    (12, 13, set(range(1, 26, 2))),  # y = f(x) on a 2-cycle: hit as it closes
+], ids=["fixed_point", "other_cycle", "one_cycle", "two_cycle"])
+def test_pi_xy_matches_brute_force_on_closed_orbits(x, y, hits):
+    assert _power_distances(CYCLES, x, y, 25) == hits
+    pairs = [(i, j) for i in range(26) for j in range(26)]
+    for order in (pairs, pairs[::-1]):
+        eq = PiXY(CYCLES, x, y)
+        for i, j in order:
+            expected = i == j or not any(k <= max(i, j) for k in hits)
+            assert eq_decide(eq, i, j) == expected, (i, j)
+
+
+class _CountedSteps(PermExpr):
+    """f, counting the fwd and bwd steps taken through it."""
+
+    kind = "counted"
+
+    def __init__(self, f):
+        self.f = f
+        self.steps = 0
+
+    def fwd(self, x, fuel):
+        self.steps += 1
+        return self.f.fwd(x, fuel)
+
+    def bwd(self, x, fuel):
+        self.steps += 1
+        return self.f.bwd(x, fuel)
+
+
+def test_pi_xy_stops_walking_at_a_closed_orbit():
+    f = _CountedSteps(CYCLES)
+    eq = PiXY(f, 0, 8)  # 8 is off the 5-cycle of 0
+    assert eq_decide(eq, 0, 500)
+    # the walk closes at the period: one step each way per power
+    assert f.steps <= 2 * 5
+    seen = f.steps
+    assert eq_decide(eq, 10**6, 3)
+    assert eq._least_rep(10**6, Fuel()) == 0
+    assert eq._next_member(10**6, Fuel()) == 10**6 + 1
+    assert BlockCache(eq).nth_member(0, 300) == 300
+    assert f.steps == seen
 
 
 @given(st.integers(min_value=1, max_value=12),

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from permdec import (
     Compose,
     DeltaSucc,
+    FibersOf,
     FinitaryProduct,
     FromRho,
     Fuel,
@@ -18,6 +19,7 @@ from permdec import (
     PreconditionViolation,
     Rule,
     SeminormalFromRho,
+    TableThenIdentity,
     Transposition,
     TranspositionTimes,
     eta_decode,
@@ -27,6 +29,7 @@ from permdec import (
     perm_eval,
     perm_eval_inv,
     perm_power,
+    seminormal_from_rho,
     window_bijection_check,
 )
 from permdec.core import delta_inv
@@ -159,6 +162,31 @@ def test_seminormal_from_rho_finite_blocks_increase():
     assert perm_eval(p, 1) == 2
     assert perm_eval(p, 2) == 0
     assert window_bijection_check(p, 120)
+
+
+def test_seminormal_from_rho_walks_finite_blocks_as_increasing_cycles():
+    # blocks {0, 1, 9}, {2, 12}, {20, 22}, {21, 30}; 3 <-> 5 swap labels
+    table = {0: 9, 1: 9, 3: 5, 5: 3, 8: 8, 12: 2, 20: 21, 21: 30, 22: 21}
+    label = TableThenIdentity(table)
+    window = 40  # every label lies below it
+    blocks: dict[int, list[int]] = {}
+    for x in range(window):
+        blocks.setdefault(label(x), []).append(x)
+    size = {x: len(b) for b in blocks.values() for x in b}
+    p = seminormal_from_rho(FibersOf(label), lambda x: size[x])
+    for x in range(window):
+        block = blocks[label(x)]
+        cycle = [x]
+        while perm_eval(p, cycle[-1]) != x:
+            cycle.append(perm_eval(p, cycle[-1]))
+        i = block.index(x)
+        assert cycle == block[i:] + block[:i], x
+        assert perm_eval_inv(p, x) == block[i - 1], x
+    # a rho that undercounts a block is caught, not read past
+    short = seminormal_from_rho(FibersOf(label), lambda x: size[x] - 1)
+    assert perm_eval(short, 0) == 1
+    with pytest.raises(PreconditionViolation):
+        perm_eval(short, 9)
 
 
 def test_seminormal_from_rho_infinite_block_is_normal():
