@@ -410,7 +410,8 @@ class PiXY(EqExpr):
     period p, and by then every |k| <= p is checked.  Each point of the
     orbit is f^k(x) for some |k| <= p/2, so a y on it was already hit.
     From then on every question about the member is answered with no
-    permutation step."""
+    permutation step.  Each power the walk tries costs one unit of fuel,
+    so a large index cannot outrun the caller's budget."""
 
     kind = "pi_xy"
 
@@ -427,6 +428,7 @@ class PiXY(EqExpr):
         if self._hit is not None:
             return self._hit <= bound
         while self._checked < bound:
+            fuel.spend()
             k = self._checked + 1
             while len(self._fwd) <= k:
                 self._fwd.append(self.f.fwd(self._fwd[-1], fuel))

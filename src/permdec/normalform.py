@@ -9,6 +9,12 @@ normal (the two definitions coincide there).  permutation.normal_index
 states the normal order once; RhoFromNormal and the semi-normal minimum
 search an orbit in xi order through OrbitCache.find.
 
+A cycle minimum is read from the permutation's _cycle_min hook first: a
+member of Perm(eq) built here from a rho has eq's blocks as its cycles, so
+eq's least representative is the answer, found with no orbit step.  Only a
+kind without the hook is searched along its orbit, where normal_min's
+probes stay logarithmic in the distance to the minimum.
+
 The rho functions ("does my block hold a larger element" and "how big is my
 block, 0 meaning infinite") are what make normal members of Perm(eq)
 constructible; both directions of that correspondence live here.
@@ -230,15 +236,29 @@ def normal_min_with_probes(fprime: PermExpr, x: int,
                            fuel: Optional[Fuel] = None) -> tuple[int, int]:
     """Least element of x's cycle, assuming fprime is normal.
 
-    Returns (minimum, probes).  A probe is one value inspection of the
-    search: the two initial neighbour looks, one per galloping step, one per
-    bisection step.  Walking the orbit to reach an inspected offset is
-    cached and not itself counted, so the probe count is the length of the
-    derivation, logarithmic in the distance to the minimum.
+    Returns (minimum, probes).  A kind whose cycles are a relation's blocks
+    by construction answers through its _cycle_min hook, the block's least
+    representative, with 0 probes: no orbit value is inspected.  Any other
+    kind is searched along the orbit (_normal_min_search).
     """
     f = fuel or Fuel()
-    xp = fprime.fwd(x, f)
-    xm = fprime.bwd(x, f)
+    if fprime._cycle_min is not None:
+        return fprime._cycle_min(x, f), 0
+    return _normal_min_search(fprime, x, f)
+
+
+def _normal_min_search(fprime: PermExpr, x: int, fuel: Fuel) -> tuple[int, int]:
+    """normal_min_with_probes by walking the orbit, for any normal fprime.
+
+    A probe is one value inspection of the search: the two initial
+    neighbour looks, one per galloping step, one per bisection step.
+    Walking the orbit to reach an inspected offset is cached and not itself
+    counted, so the probe count is the length of the derivation,
+    logarithmic in the distance to the minimum.  The hook-free path is also
+    the oracle selfcheck holds the hooks' permutations to.
+    """
+    xp = fprime.fwd(x, fuel)
+    xm = fprime.bwd(x, fuel)
     probes = 2
     if x <= xp and x <= xm:
         return x, probes
@@ -248,7 +268,8 @@ def normal_min_with_probes(fprime: PermExpr, x: int,
 
     def v(j: int) -> int:
         while len(vals) <= j:
-            nxt = fprime.fwd(vals[-1], f) if direction > 0 else fprime.bwd(vals[-1], f)
+            nxt = (fprime.fwd(vals[-1], fuel) if direction > 0
+                   else fprime.bwd(vals[-1], fuel))
             if nxt == x:
                 raise _Wrapped(len(vals))
             vals.append(nxt)
@@ -294,8 +315,11 @@ def decider_from_normal(fprime: PermExpr) -> cyc.CycleWitness:
 
 def _cycle_min_seminormal(f: PermExpr, x: int, orbits: OrbitCache,
                           fuel: Fuel) -> int:
-    """Least element of x's cycle for semi-normal f, by alternating search
-    for the unique local minimum, one unit of fuel per orbit point."""
+    """Least element of x's cycle for semi-normal f: its _cycle_min hook
+    where it has one, or else an alternating search for the unique local
+    minimum, one unit of fuel per orbit point."""
+    if f._cycle_min is not None:
+        return f._cycle_min(x, fuel)
     k = orbits.find(x, lambda c: c <= perm_eval(f, c, fuel)
                     and c <= perm_eval_inv(f, c, fuel), fuel)
     return orbits.value(x, k, fuel)

@@ -25,7 +25,20 @@ from .equivalence import BlockCache, EqExpr, FamilyExpr
 
 
 class PermExpr:
+    """A permutation of N, evaluated in both directions with fwd and bwd.
+
+    Optional hook, None at class level where a kind has none:
+      _cycle_min(x, fuel)    the least element of x's cycle, answered
+                             without walking the orbit.  A kind has it where
+                             its cycles are a relation's blocks by
+                             construction, so that the block's least
+                             representative is the answer.
+                             normalform.normal_min reads it first, and
+                             searches the orbit only where it is missing.
+    """
+
     kind = "perm"
+    _cycle_min = None
 
     def fwd(self, x: int, fuel: Fuel) -> int:
         raise NotImplementedError
@@ -298,6 +311,11 @@ class NormalFromSet(PermExpr):
     def bwd(self, x: int, fuel: Fuel) -> int:
         return self._map(x, -1, fuel)
 
+    def _cycle_min(self, x: int, fuel: Fuel) -> int:
+        if not self.eq._decide(self.rep, x, fuel):
+            return x
+        return self._cache.least_rep(x, fuel)
+
 
 class RhoExpr:
     """A rho query, asked per point with the caller's fuel: "does x's block
@@ -366,6 +384,9 @@ class FromRho(PermExpr):
             return n1
         return members[t - 1]
 
+    def _cycle_min(self, x: int, fuel: Fuel) -> int:
+        return self._cache.least_rep(x, fuel)
+
 
 class SeminormalFromRho(PermExpr):
     """Semi-normal member of Perm(eq) from the block-cardinality function
@@ -399,6 +420,9 @@ class SeminormalFromRho(PermExpr):
 
     def bwd(self, x: int, fuel: Fuel) -> int:
         return self._map(x, -1, fuel)
+
+    def _cycle_min(self, x: int, fuel: Fuel) -> int:
+        return self._cache.least_rep(x, fuel)
 
 
 class CoproductPerm(PermExpr):

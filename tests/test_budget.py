@@ -45,6 +45,7 @@ from permdec import (
     eq_decide,
     even_zigzag,
     halting_equivalence,
+    normal_min,
     normality_report,
     pair,
     perm_eval,
@@ -115,6 +116,18 @@ CLOSING = [
 ]
 
 
+# normal permutations, asked normal_min: members of Perm(eq) built from a
+# rho answer through their _cycle_min hook, over a relation with closed
+# forms and over one that is scanned; a composition has no hook, so its
+# orbit is searched, and its steps list blocks
+NORMAL = [
+    ("from_rho", lambda: FromRho(Modulo(3), RhoConst(True))),
+    ("from_rho_scanned", lambda: FromRho(
+        OpaqueEq(lambda x, y: x % 3 == y % 3), RhoConst(True))),
+    ("searched", lambda: Compose(Identity(), FromRho(Modulo(3), RhoConst(True)))),
+]
+
+
 def _queries(obj):
     """The questions asked of obj, each as a function of the fuel."""
     if isinstance(obj, PermExpr):
@@ -133,10 +146,14 @@ def test_every_serializable_kind_has_a_fixture():
     assert kinds == {kind for kind, _ in FIXTURES}
 
 
-def _answers_right_or_run_out(make):
-    expected = [q(Fuel()) for q in _queries(make())]
+def _normal_min_queries(p):
+    return [lambda fu, x=x: normal_min(p, x, fu) for x in (*POINTS, 3000)]
+
+
+def _answers_right_or_run_out(make, ask=_queries):
+    expected = [q(Fuel()) for q in ask(make())]
     obj = make()
-    queries = _queries(obj)
+    queries = ask(obj)
     for budget in BUDGETS:
         for q, want in zip(queries, expected):
             try:
@@ -159,12 +176,29 @@ def test_small_budgets_on_closing_pi_xy_walks(make):
     _answers_right_or_run_out(make)
 
 
+@pytest.mark.parametrize("make", [m for _, m in NORMAL], ids=[n for n, _ in NORMAL])
+def test_small_budgets_on_normal_min(make):
+    _answers_right_or_run_out(make, _normal_min_queries)
+
+
 def test_from_rho_charges_the_callers_fuel():
     with pytest.raises(FuelExhausted):
         perm_eval(FromRho(Modulo(3), RhoConst(True)), 300000, Fuel(1))
     fuel = Fuel(10**6)
     assert perm_eval(FromRho(Modulo(3), RhoConst(True)), 300000, fuel) == 300006
     assert fuel.used > 0
+
+
+def test_pi_xy_charges_one_unit_per_power():
+    # 0 and 3 lie on different cycles of the even zig-zag, whose orbit of 0
+    # never closes: deciding (0, 10**5) would try 10**5 powers
+    fuel = Fuel(5)
+    with pytest.raises(FuelExhausted):
+        eq_decide(PiXY(ZIG, 0, 3), 0, 10**5, fuel)
+    assert fuel.used == 5
+    fuel = Fuel(100)
+    assert eq_decide(PiXY(ZIG, 0, 3), 0, 40, fuel)
+    assert fuel.used == 40
 
 
 def test_normal_from_set_charges_the_callers_fuel():

@@ -1,9 +1,12 @@
 """Closed-form block answers, and the block state a relation node shares.
 
 A relation kind with _least_rep/_next_member must answer every BlockCache
-question as a scan with its own decider does, and as the brute-force
-least_representative does.  The scan is run through an OpaqueEq of the same
-decider, which has no closed form.  A cycle relation's orbit probe, and a
+question as a scan with its own decider does.  The scan is run through an
+OpaqueEq of the same decider, which has no closed form.  So that the
+decider is checked too, each fixture's least representatives are also
+worked out without it (a walk of f's powers for PiXY, a fixture's known
+cycles for a cycle relation); the brute-force least_representative stands
+in only where no such reference is cheap.  A cycle relation's orbit probe, and a
 coproduct's _least_rep, are held to the same answers, also where they give
 None and leave a point to the scan.
 """
@@ -41,6 +44,8 @@ from permdec import (
     pair,
     perm_eval,
     perm_eval_inv,
+    perm_power,
+    unpair,
     witness_to_eq,
 )
 from permdec import cycles as cyc
@@ -64,32 +69,90 @@ PROBED = Compose(ZIG, FinitaryProduct([(1, 5), (5, 9)]
 # every other point fixed
 CYCLES = FinitaryProduct([(0, 1), (1, 2), (2, 3), (3, 4), (6, 8), (8, 10), (12, 13)])
 
+
+def _pi_xy_least(f, x, y):
+    # h, the least |k| with f^k(x) = y, by walking the powers of f: the
+    # blocks are {0, ..., h-1} and singletons from h on
+    h = next((k for k in range(WINDOW + 1)
+              if y in (perm_power(f, x, k), perm_power(f, x, -k))), None)
+    return lambda i: 0 if h is None or i < h else i
+
+
+def _halting_least(variant, h):
+    # a run that halts after h steps (h None: never) labels n with
+    # [halts within n steps]; "nonpermutable" shifts the labels by one and
+    # pins label(0) to 1
+    if variant == "cf":
+        return lambda n: 0 if h is None or n < h else h
+    return lambda n: 1 if 0 < n and (h is None or n <= h) else 0
+
+
+def _table_least(x):
+    label = TABLE.get(x, x)
+    return next(y for y in range(x + 1) if TABLE.get(y, y) == label)
+
+
+def _probed_least(x):
+    # PROBED's cycles, as its comment lists them
+    if x % 2 == 0:
+        return 0
+    if x in (1, 5, 9):
+        return 1
+    if x % 4 == 3 and 7 <= x <= 71:
+        return 7
+    if x % 4 == 1 and 65 <= x <= 97:
+        return 65
+    return x
+
+
+def _coproduct_least(member_least):
+    # pair(z, .) is increasing: the least code of <z, a>'s block is <z, r>
+    # for r the least member of a's block in member z
+    def least(n):
+        z, a = unpair(n)
+        return pair(z, member_least(z)(a))
+    return least
+
+
+# (name, fresh relation, the least representative of x worked out without
+# the relation's decider, or None where no cheap one is at hand)
 CLOSED_FORMS = [
-    ("singletons", Singletons),
-    ("full", Full),
-    ("modulo_1", lambda: Modulo(1)),
-    ("modulo_4", lambda: Modulo(4)),
-    ("table", lambda: FibersOf(TableThenIdentity(TABLE))),
-    ("halting_cf_halts", lambda: FibersOf(HaltingLabel("cf", HALTS_AT_17))),
-    ("halting_cf_loops", lambda: FibersOf(HaltingLabel("cf", LOOPS))),
-    ("halting_np_halts", lambda: FibersOf(HaltingLabel("nonpermutable", HALTS_AT_17))),
-    ("halting_np_loops", lambda: FibersOf(HaltingLabel("nonpermutable", LOOPS))),
-    ("pi_xy_related", lambda: PiXY(ZIG, 4, 14)),
-    ("pi_xy_unrelated", lambda: PiXY(ZIG, 0, 3)),
-    ("pi_xy_same_point", lambda: PiXY(ZIG, 4, 4)),
+    ("singletons", Singletons, lambda x: x),
+    ("full", Full, lambda x: 0),
+    ("modulo_1", lambda: Modulo(1), lambda x: 0),
+    ("modulo_4", lambda: Modulo(4), lambda x: x % 4),
+    ("table", lambda: FibersOf(TableThenIdentity(TABLE)), _table_least),
+    ("halting_cf_halts", lambda: FibersOf(HaltingLabel("cf", HALTS_AT_17)),
+     _halting_least("cf", 17)),
+    ("halting_cf_loops", lambda: FibersOf(HaltingLabel("cf", LOOPS)),
+     _halting_least("cf", None)),
+    ("halting_np_halts", lambda: FibersOf(HaltingLabel("nonpermutable", HALTS_AT_17)),
+     _halting_least("nonpermutable", 17)),
+    ("halting_np_loops", lambda: FibersOf(HaltingLabel("nonpermutable", LOOPS)),
+     _halting_least("nonpermutable", None)),
+    ("pi_xy_related", lambda: PiXY(ZIG, 4, 14), _pi_xy_least(ZIG, 4, 14)),
+    ("pi_xy_unrelated", lambda: PiXY(ZIG, 0, 3), _pi_xy_least(ZIG, 0, 3)),
+    ("pi_xy_same_point", lambda: PiXY(ZIG, 4, 4), _pi_xy_least(ZIG, 4, 4)),
     # x's orbit closes: a fixed point, another cycle, and y on x's cycle
-    ("pi_xy_closed_fixed_point", lambda: PiXY(CYCLES, 5, 7)),
-    ("pi_xy_closed_other_cycle", lambda: PiXY(CYCLES, 0, 8)),
-    ("pi_xy_closed_one_cycle", lambda: PiXY(CYCLES, 1, 4)),
-    ("pi_xy_closed_two_cycle", lambda: PiXY(CYCLES, 12, 13)),
-    ("cycle_eq_normal", lambda: CycleEqOf(ZIG, "normal")),
-    ("cycle_eq_min_rep", lambda: witness_to_eq(decider_from_normal(NORMAL))),
-    ("cycle_eq_one_infinite", lambda: CycleEqOf(PROBED, "one_infinite")),
-    ("cycle_eq_few_infinite", lambda: CycleEqOf(PROBED, "few_infinite", reps=[0])),
-    ("coproduct_halting", lambda: halting_equivalence("cf")),
-    ("coproduct_pi_xy", lambda: CoproductEq(PiXYFamily(ZIG))),
+    ("pi_xy_closed_fixed_point", lambda: PiXY(CYCLES, 5, 7), _pi_xy_least(CYCLES, 5, 7)),
+    ("pi_xy_closed_other_cycle", lambda: PiXY(CYCLES, 0, 8), _pi_xy_least(CYCLES, 0, 8)),
+    ("pi_xy_closed_one_cycle", lambda: PiXY(CYCLES, 1, 4), _pi_xy_least(CYCLES, 1, 4)),
+    ("pi_xy_closed_two_cycle", lambda: PiXY(CYCLES, 12, 13), _pi_xy_least(CYCLES, 12, 13)),
+    # ZIG's cycles: the evens, and each odd number alone
+    ("cycle_eq_normal", lambda: CycleEqOf(ZIG, "normal"),
+     lambda x: 0 if x % 2 == 0 else x),
+    # NORMAL's cycles are the classes mod 3
+    ("cycle_eq_min_rep", lambda: witness_to_eq(decider_from_normal(NORMAL)),
+     lambda x: x % 3),
+    ("cycle_eq_one_infinite", lambda: CycleEqOf(PROBED, "one_infinite"), _probed_least),
+    ("cycle_eq_few_infinite", lambda: CycleEqOf(PROBED, "few_infinite", reps=[0]),
+     _probed_least),
+    ("coproduct_halting", lambda: halting_equivalence("cf"), None),
+    ("coproduct_pi_xy", lambda: CoproductEq(PiXYFamily(ZIG)),
+     _coproduct_least(lambda z: _pi_xy_least(ZIG, *unpair(z)))),
     # a member probe that gives None leaves the code to the scan
-    ("coproduct_probed", lambda: CoproductEq(ConstantFamily(CycleEqOf(PROBED, "one_infinite")))),
+    ("coproduct_probed", lambda: CoproductEq(ConstantFamily(CycleEqOf(PROBED, "one_infinite"))),
+     _coproduct_least(lambda z: _probed_least)),
 ]
 
 
@@ -102,9 +165,9 @@ def _next_or_out(bc, x, budget):
         return FuelExhausted
 
 
-@pytest.mark.parametrize("make", [m for _, m in CLOSED_FORMS],
-                         ids=[name for name, _ in CLOSED_FORMS])
-def test_closed_forms_match_the_scan(make):
+@pytest.mark.parametrize("make, least", [(m, least) for _, m, least in CLOSED_FORMS],
+                         ids=[name for name, _, _ in CLOSED_FORMS])
+def test_closed_forms_match_the_scan(make, least):
     eq = make()
     assert eq._least_rep is not None
     plain = make()
@@ -112,7 +175,8 @@ def test_closed_forms_match_the_scan(make):
     fast = BlockCache(eq)
     for x in range(WINDOW):
         lr = scan.least_rep(x)
-        assert fast.least_rep(x) == lr == least_representative(make(), x), x
+        want = least_representative(make(), x) if least is None else least(x)
+        assert fast.least_rep(x) == lr == want, x
         assert fast.members_le(x) == scan.members_le(x), x
         assert fast.member_index(x) == scan.member_index(x), x
         # past a block's last member the scan runs out of fuel; so must the

@@ -1,19 +1,27 @@
+from collections import Counter
+
 import pytest
 
 from permdec import (
     Compose,
+    FibersOf,
     FinitaryProduct,
+    FromRho,
     Fuel,
     Identity,
     Modulo,
+    NormalFromSet,
     OpaqueEq,
     PreconditionViolation,
+    SeminormalFromRho,
+    TableThenIdentity,
     Transposition,
     even_zigzag,
     perm_eval,
     perm_eval_inv,
 )
 from permdec import cycles as cyc
+from permdec import gadgets as gd
 from permdec import normalform as nf
 from permdec.equivalence import BlockDecider
 
@@ -122,6 +130,56 @@ def test_normal_min_on_finite_cycles():
     m, probes = nf.normal_min_with_probes(fp, 3)
     assert m == 1
     assert nf.normal_min(fp, 5) == 1
+
+
+# blocks {0, 1, 9}, {2, 12}, {3}, {5}, {20, 22}, {21, 30}; the rest alone
+TABLE = {0: 9, 1: 9, 3: 5, 5: 3, 8: 8, 12: 2, 20: 21, 21: 30, 22: 21}
+TABLE_LABEL = TableThenIdentity(TABLE)
+# every key and label lies below 31, so a point from 31 on is alone
+TABLE_SIZES = Counter(TABLE_LABEL(y) for y in range(31))
+
+
+def _conj_reduction():
+    # the even cycle's even powers of 0 are one infinite block
+    f = even_zigzag()
+    return gd.conj_reduction_perm(f, cyc.decider_one_infinite(f), 0,
+                                  eq=_evens_eq())[0]
+
+
+# members of Perm(eq) built from a rho: their cycles are eq's blocks, and
+# each answers normal_min through its _cycle_min hook
+HOOKED = [
+    ("from_rho", lambda: FromRho(Modulo(3), nf.RhoConst(True))),
+    ("seminormal_infinite", lambda: SeminormalFromRho(Modulo(3), nf.RhoCardConst(0))),
+    ("seminormal_finite", lambda: SeminormalFromRho(
+        FibersOf(TABLE_LABEL), lambda x: TABLE_SIZES.get(TABLE_LABEL(x), 1))),
+    ("normal_from_set", lambda: NormalFromSet(Modulo(3), 1)),
+    ("conj_reduction", _conj_reduction),
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in HOOKED], ids=[n for n, _ in HOOKED])
+def test_the_cycle_min_hook_matches_the_orbit_search(make):
+    p, searched = make(), make()
+    assert p._cycle_min is not None
+    for x in range(301):
+        m, probes = nf.normal_min_with_probes(p, x)
+        assert probes == 0
+        assert m == nf._normal_min_search(searched, x, Fuel())[0], x
+        assert nf._cycle_min_seminormal(p, x, None, Fuel()) == m, x
+
+
+def test_the_cycle_min_hook_walks_no_orbit(monkeypatch):
+    steps = []
+    for cls in (FromRho, SeminormalFromRho):
+        for name in ("fwd", "bwd"):
+            def counting(self, x, fuel, _real=getattr(cls, name)):
+                steps.append(x)
+                return _real(self, x, fuel)
+            monkeypatch.setattr(cls, name, counting)
+    assert nf.normal_min(FromRho(Modulo(3), nf.RhoConst(True)), 3000) == 0
+    assert nf.normal_min(SeminormalFromRho(Modulo(3), nf.RhoCardConst(0)), 3001) == 1
+    assert steps == []
 
 
 def test_decider_from_normal():
