@@ -315,11 +315,8 @@ def decider_from_normal(fprime: PermExpr) -> cyc.CycleWitness:
 
 def _cycle_min_seminormal(f: PermExpr, x: int, orbits: OrbitCache,
                           fuel: Fuel) -> int:
-    """Least element of x's cycle for semi-normal f: its _cycle_min hook
-    where it has one, or else an alternating search for the unique local
-    minimum, one unit of fuel per orbit point."""
-    if f._cycle_min is not None:
-        return f._cycle_min(x, fuel)
+    """Least element of x's cycle for semi-normal f, by alternating search
+    for the unique local minimum, one unit of fuel per orbit point."""
     k = orbits.find(x, lambda c: c <= perm_eval(f, c, fuel)
                     and c <= perm_eval_inv(f, c, fuel), fuel)
     return orbits.value(x, k, fuel)

@@ -311,11 +311,6 @@ class NormalFromSet(PermExpr):
     def bwd(self, x: int, fuel: Fuel) -> int:
         return self._map(x, -1, fuel)
 
-    def _cycle_min(self, x: int, fuel: Fuel) -> int:
-        if not self.eq._decide(self.rep, x, fuel):
-            return x
-        return self._cache.least_rep(x, fuel)
-
 
 class RhoExpr:
     """A rho query, asked per point with the caller's fuel: "does x's block
@@ -408,12 +403,19 @@ class SeminormalFromRho(PermExpr):
             i = self._cache.member_index(x, fuel)
             return self._cache.nth_member(lr, normal_index(i, None, step), fuel)
         self._cache.nth_member(lr, n - 1, fuel)
+        members, i = self._position_within(x, n, fuel)
+        return members[(i + step) % n]
+
+    def _position_within(self, x: int, n: int,
+                         fuel: Fuel) -> tuple[list[int], int]:
+        """x's block members and x's index among them, checked against
+        rho's count n of the block."""
         members, i = self._cache._position(x, fuel)
         if i >= n:
             raise PreconditionViolation(
                 f"{self.kind}: rho gives the block of {x} {n} members, "
                 f"but {x} is its member of index {i}")
-        return members[(i + step) % n]
+        return members, i
 
     def fwd(self, x: int, fuel: Fuel) -> int:
         return self._map(x, 1, fuel)
@@ -422,6 +424,10 @@ class SeminormalFromRho(PermExpr):
         return self._map(x, -1, fuel)
 
     def _cycle_min(self, x: int, fuel: Fuel) -> int:
+        # a rho that undercounts x's block is caught here as in _map
+        n = int(self._rho(x, fuel))
+        if n:
+            self._position_within(x, n, fuel)
         return self._cache.least_rep(x, fuel)
 
 

@@ -10,7 +10,6 @@ from permdec import (
     Fuel,
     Identity,
     Modulo,
-    NormalFromSet,
     OpaqueEq,
     PreconditionViolation,
     SeminormalFromRho,
@@ -153,7 +152,6 @@ HOOKED = [
     ("seminormal_infinite", lambda: SeminormalFromRho(Modulo(3), nf.RhoCardConst(0))),
     ("seminormal_finite", lambda: SeminormalFromRho(
         FibersOf(TABLE_LABEL), lambda x: TABLE_SIZES.get(TABLE_LABEL(x), 1))),
-    ("normal_from_set", lambda: NormalFromSet(Modulo(3), 1)),
     ("conj_reduction", _conj_reduction),
 ]
 
@@ -166,7 +164,6 @@ def test_the_cycle_min_hook_matches_the_orbit_search(make):
         m, probes = nf.normal_min_with_probes(p, x)
         assert probes == 0
         assert m == nf._normal_min_search(searched, x, Fuel())[0], x
-        assert nf._cycle_min_seminormal(p, x, None, Fuel()) == m, x
 
 
 def test_the_cycle_min_hook_walks_no_orbit(monkeypatch):

@@ -25,6 +25,7 @@ from permdec import (
     eta_decode,
     eta_encode,
     even_zigzag,
+    normal_min,
     orbit_window,
     perm_eval,
     perm_eval_inv,
@@ -187,6 +188,10 @@ def test_seminormal_from_rho_walks_finite_blocks_as_increasing_cycles():
     assert perm_eval(short, 0) == 1
     with pytest.raises(PreconditionViolation):
         perm_eval(short, 9)
+    # and so it is where the cycle minimum is read without a step
+    assert normal_min(short, 1) == 0
+    with pytest.raises(PreconditionViolation):
+        normal_min(short, 9)
 
 
 def test_seminormal_from_rho_infinite_block_is_normal():
