@@ -123,6 +123,12 @@ class TableThenIdentity(FunExpr):
         return fib[i] if i < len(fib) else None
 
 
+def _halting_variant(variant: str) -> str:
+    if variant not in ("cf", "nonpermutable"):
+        raise ValueError("variant must be 'cf' or 'nonpermutable'")
+    return variant
+
+
 class HaltingLabel(FunExpr):
     """Step-indexed halting labels for one toy program.
 
@@ -135,9 +141,7 @@ class HaltingLabel(FunExpr):
     kind = "halting_label"
 
     def __init__(self, variant: str, code: int):
-        if variant not in ("cf", "nonpermutable"):
-            raise ValueError("variant must be 'cf' or 'nonpermutable'")
-        self.variant = variant
+        self.variant = _halting_variant(variant)
         self.code = code
         self._run = machine.Run(code)
 
@@ -486,7 +490,7 @@ class HaltingFamily(FamilyExpr):
     kind = "halting_family"
 
     def __init__(self, variant: str):
-        self.variant = variant
+        self.variant = _halting_variant(variant)
         self._memo: dict[int, EqExpr] = {}
 
     def member(self, z: int) -> EqExpr:

@@ -206,15 +206,12 @@ def normalize(f: PermExpr, w: cyc.CycleWitness, eq: Optional[EqExpr] = None) -> 
     return FromRho(eq, RhoClosure(f, eq))
 
 
+# the paper's names for the two constructions; each constructor checks rho
 def perm_from_rho(eq: EqExpr, rho) -> PermExpr:
-    if isinstance(rho, RhoExpr) and rho.rho_kind != "greater":
-        raise ValueError("perm_from_rho needs a greater-element rho")
     return FromRho(eq, rho)
 
 
 def seminormal_from_rho(eq: EqExpr, rho) -> PermExpr:
-    if isinstance(rho, RhoExpr) and rho.rho_kind != "cardinality":
-        raise ValueError("seminormal_from_rho needs a cardinality rho")
     return SeminormalFromRho(eq, rho)
 
 

@@ -350,6 +350,8 @@ class FromRho(PermExpr):
     kind = "from_rho"
 
     def __init__(self, eq: EqExpr, rho):
+        if isinstance(rho, RhoExpr) and rho.rho_kind == "cardinality":
+            raise ValueError("FromRho needs a greater-element rho")
         self.eq = eq
         self.rho = rho
         self._rho = _rho_query(rho, eq)
@@ -391,6 +393,8 @@ class SeminormalFromRho(PermExpr):
     kind = "seminormal_from_rho"
 
     def __init__(self, eq: EqExpr, rho):
+        if isinstance(rho, RhoExpr) and rho.rho_kind != "cardinality":
+            raise ValueError("SeminormalFromRho needs a cardinality rho")
         self.eq = eq
         self.rho = rho
         self._rho = _rho_query(rho, eq)

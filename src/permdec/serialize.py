@@ -1,14 +1,21 @@
 """JSON codec for expression trees.
 
-Every node serializes to {"kind": <constructor-name>, ...fields} with all
+Every node serializes to {"kind": <the class's kind>, ...fields} with all
 integers rendered as decimal strings, so files survive readers with 64-bit
-number ceilings.  Opaque wrappers and attached runtime witnesses have no
-stable representation and are rejected.
+number ceilings.  One table, _FIELDS, lists each serializable class's
+fields in constructor order, and both directions read it: encoding reads
+the attributes, decoding passes the fields to the constructor.  A field
+missing from a file takes the constructor's default.  Loading checks
+nothing itself beyond the JSON shapes: a node is valid when its
+constructor accepts it.  Opaque wrappers and attached runtime witnesses
+have no stable representation and are rejected.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
+from functools import cache
 from typing import Any
 
 from . import equivalence as eqm
@@ -37,195 +44,115 @@ def _i(s: Any) -> int:
     raise SerializationError(f"expected an integer string, got {type(s).__name__}")
 
 
-# ---------------------------------------------------------------------------
-# encoding
+def _encode(obj: Any, fields: tuple) -> dict:
+    return {key: codec[0](getattr(obj, attr[0] if attr else key))
+            for key, codec, *attr in fields}
+
+
+@cache
+def _defaults(cls: type) -> list:
+    return [p.default for p in inspect.signature(cls).parameters.values()]
+
+
+def _decode(cls: type, fields: tuple, d: dict) -> Any:
+    args = []
+    for (key, codec, *_), default in zip(fields, _defaults(cls)):
+        # a field missing from d takes the constructor's default, if it has one
+        if key in d or default is inspect.Parameter.empty:
+            args.append(codec[1](d[key]))
+        else:
+            args.append(default)
+    return cls(*args)
 
 
 def to_jsonable(obj: Any) -> dict:
     t = type(obj)
-    enc = _ENCODERS.get(t)
-    if enc is None:
+    fields = _FIELDS.get(t)
+    if fields is None:
         raise SerializationError(f"{t.__name__} has no serialized form")
-    return enc(obj)
-
-
-def _enc_rule(r: pmm.Rule) -> dict:
-    return {"modulus": _n(r.modulus), "residue": _n(r.residue),
-            "kind": r.kind, "a": _n(r.a), "b": _n(r.b)}
-
-
-def _dec_rule(d: dict) -> pmm.Rule:
-    return pmm.Rule(_i(d["modulus"]), _i(d["residue"]), d["kind"],
-                    _i(d["a"]), _i(d["b"]))
-
-
-def _enc_cycle_eq(e: eqm.CycleEqOf) -> dict:
-    if e.strategy == "attached":
+    if t is eqm.CycleEqOf and obj.strategy == "attached":
         raise SerializationError("attached cycle witnesses are runtime-only")
-    return {"kind": "cycle_eq_of", "perm": to_jsonable(e.perm),
-            "strategy": e.strategy, "reps": [_n(r) for r in e.reps]}
-
-
-_ENCODERS = {
-    # functions
-    eqm.ConstFun: lambda e: {"kind": "const", "c": _n(e.c)},
-    eqm.IdentityFun: lambda e: {"kind": "identity_fun"},
-    eqm.ModFun: lambda e: {"kind": "mod", "m": _n(e.m)},
-    eqm.TableThenIdentity: lambda e: {
-        "kind": "table_then_identity",
-        "table": [[_n(k), _n(v)] for k, v in sorted(e.table.items())]},
-    eqm.HaltingLabel: lambda e: {"kind": "halting_label",
-                                 "variant": e.variant, "code": _n(e.code)},
-    # equivalences
-    eqm.Singletons: lambda e: {"kind": "singletons"},
-    eqm.Full: lambda e: {"kind": "full"},
-    eqm.Modulo: lambda e: {"kind": "modulo", "m": _n(e.m)},
-    eqm.FibersOf: lambda e: {"kind": "fibers_of", "fun": to_jsonable(e.fun)},
-    eqm.CycleEqOf: _enc_cycle_eq,
-    eqm.ImageEq: lambda e: {"kind": "image", "base": to_jsonable(e.base),
-                            "h": to_jsonable(e.h)},
-    eqm.CoproductEq: lambda e: {"kind": "coproduct",
-                                "family": to_jsonable(e.family)},
-    eqm.PiXY: lambda e: {"kind": "pi_xy", "f": to_jsonable(e.f),
-                         "x": _n(e.x), "y": _n(e.y)},
-    # families
-    eqm.ConstantFamily: lambda e: {"kind": "constant_family",
-                                   "eq": to_jsonable(e.eq)},
-    eqm.HaltingFamily: lambda e: {"kind": "halting_family", "variant": e.variant},
-    eqm.PiXYFamily: lambda e: {"kind": "pi_xy_family", "f": to_jsonable(e.f)},
-    # permutations
-    pmm.Identity: lambda e: {"kind": "identity"},
-    pmm.Transposition: lambda e: {"kind": "transposition",
-                                  "a": _n(e.a), "b": _n(e.b)},
-    pmm.FinitaryProduct: lambda e: {
-        "kind": "finitary_product",
-        "transpositions": [[_n(a), _n(b)] for a, b in e.transpositions]},
-    pmm.DeltaSucc: lambda e: {"kind": "delta_succ"},
-    pmm.PiecewiseResidue: lambda e: {
-        "kind": "piecewise_residue",
-        "rules": [_enc_rule(r) for r in e.rules],
-        "check_window": _n(e.check_window)},
-    pmm.TranspositionTimes: lambda e: {"kind": "transposition_times",
-                                       "x": _n(e.x), "y": _n(e.y),
-                                       "base": to_jsonable(e.base)},
-    pmm.Compose: lambda e: {"kind": "compose", "f": to_jsonable(e.f),
-                            "g": to_jsonable(e.g)},
-    pmm.Inverse: lambda e: {"kind": "inverse", "f": to_jsonable(e.f)},
-    pmm.NormalFromSet: lambda e: {"kind": "normal_from_set",
-                                  "eq": to_jsonable(e.eq), "rep": _n(e.rep)},
-    pmm.FromRho: lambda e: {"kind": "from_rho", "eq": to_jsonable(e.eq),
-                            "rho": to_jsonable(e.rho)},
-    pmm.SeminormalFromRho: lambda e: {"kind": "seminormal_from_rho",
-                                      "eq": to_jsonable(e.eq),
-                                      "rho": to_jsonable(e.rho)},
-    pmm.CoproductPerm: lambda e: {"kind": "coproduct_perm",
-                                  "family": to_jsonable(e.family),
-                                  "rho": to_jsonable(e.rho)},
-    pmm.ConjugatorSamePartition: lambda e: {
-        "kind": "conjugator_same_partition", "f": to_jsonable(e.f),
-        "g": to_jsonable(e.g), "eq": to_jsonable(e.eq)},
-    gdm.OddLengthGadget: lambda e: {"kind": "odd_length_gadget",
-                                    "g": to_jsonable(e.g)},
-    gdm.InterredCFPerm: lambda e: {"kind": "interred_cf", "f": to_jsonable(e.f)},
-    gdm.ConjReductionPerm: lambda e: {"kind": "conj_reduction",
-                                      "f": to_jsonable(e.f),
-                                      "eq": to_jsonable(e.base), "x": _n(e.x)},
-    nfm.SeminormalToNormal: lambda e: {"kind": "seminormal_to_normal",
-                                       "f": to_jsonable(e.f)},
-    # rho expressions
-    nfm.RhoConst: lambda e: {"kind": "rho_const", "value": e.value},
-    nfm.RhoClosure: lambda e: {"kind": "rho_closure", "f": to_jsonable(e.f),
-                               "eq": to_jsonable(e.eq)},
-    nfm.RhoFromNormal: lambda e: {"kind": "rho_from_normal",
-                                  "fprime": to_jsonable(e.fprime)},
-    nfm.RhoCardConst: lambda e: {"kind": "rho_card_const", "c": _n(e.c)},
-    nfm.RhoCardForBlocks: lambda e: {
-        "kind": "rho_card_for_blocks", "eq": to_jsonable(e.eq),
-        "reps_with_cards": [[_n(r), _n(c)] for r, c in e.reps_with_cards]},
-    gdm.RhoHaltingCF: lambda e: {"kind": "rho_halting_cf"},
-    gdm.RhoPiXY: lambda e: {"kind": "rho_pi_xy", "f": to_jsonable(e.f)},
-}
-
-
-# ---------------------------------------------------------------------------
-# decoding
+    return {"kind": t.kind, **_encode(obj, fields)}
 
 
 def from_jsonable(d: Any) -> Any:
     if not isinstance(d, dict) or "kind" not in d:
         raise SerializationError("expected an object with a 'kind' field")
-    dec = _DECODERS.get(d["kind"])
-    if dec is None:
+    if d["kind"] == "halting_blocks":   # the old name of the halting coproduct
+        d = {"kind": "coproduct", "family": {**d, "kind": "halting_family"}}
+    cls = _BY_KIND.get(d["kind"])
+    if cls is None:
         raise SerializationError(f"unknown kind {d['kind']!r}")
     try:
-        return dec(d)
+        return _decode(cls, _FIELDS[cls], d)
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed {d['kind']!r} node: {exc}")
 
 
-_DECODERS = {
-    "const": lambda d: eqm.ConstFun(_i(d["c"])),
-    "identity_fun": lambda d: eqm.IdentityFun(),
-    "mod": lambda d: eqm.ModFun(_i(d["m"])),
-    "table_then_identity": lambda d: eqm.TableThenIdentity(
-        {_i(k): _i(v) for k, v in d["table"]}),
-    "halting_label": lambda d: eqm.HaltingLabel(d["variant"], _i(d["code"])),
-    "singletons": lambda d: eqm.Singletons(),
-    "full": lambda d: eqm.Full(),
-    "modulo": lambda d: eqm.Modulo(_i(d["m"])),
-    "fibers_of": lambda d: eqm.FibersOf(from_jsonable(d["fun"])),
-    "cycle_eq_of": lambda d: eqm.CycleEqOf(
-        from_jsonable(d["perm"]), d.get("strategy", "one_infinite"),
-        [_i(r) for r in d.get("reps", [])]),
-    "image": lambda d: eqm.ImageEq(from_jsonable(d["base"]),
-                                   from_jsonable(d["h"])),
-    "coproduct": lambda d: eqm.CoproductEq(from_jsonable(d["family"])),
-    # the old name of the halting coproduct, still read
-    "halting_blocks": lambda d: eqm.CoproductEq(eqm.HaltingFamily(d["variant"])),
-    "pi_xy": lambda d: eqm.PiXY(from_jsonable(d["f"]), _i(d["x"]), _i(d["y"])),
-    "constant_family": lambda d: eqm.ConstantFamily(from_jsonable(d["eq"])),
-    "halting_family": lambda d: eqm.HaltingFamily(d["variant"]),
-    "pi_xy_family": lambda d: eqm.PiXYFamily(from_jsonable(d["f"])),
-    "identity": lambda d: pmm.Identity(),
-    "transposition": lambda d: pmm.Transposition(_i(d["a"]), _i(d["b"])),
-    "finitary_product": lambda d: pmm.FinitaryProduct(
-        [(_i(a), _i(b)) for a, b in d["transpositions"]]),
-    "delta_succ": lambda d: pmm.DeltaSucc(),
-    "piecewise_residue": lambda d: pmm.PiecewiseResidue(
-        [_dec_rule(r) for r in d["rules"]],
-        check_window=_i(d.get("check_window", 10_000))),
-    "transposition_times": lambda d: pmm.TranspositionTimes(
-        _i(d["x"]), _i(d["y"]), from_jsonable(d["base"])),
-    "compose": lambda d: pmm.Compose(from_jsonable(d["f"]),
-                                     from_jsonable(d["g"])),
-    "inverse": lambda d: pmm.Inverse(from_jsonable(d["f"])),
-    "normal_from_set": lambda d: pmm.NormalFromSet(from_jsonable(d["eq"]),
-                                                   _i(d["rep"])),
-    "from_rho": lambda d: pmm.FromRho(from_jsonable(d["eq"]),
-                                      from_jsonable(d["rho"])),
-    "seminormal_from_rho": lambda d: pmm.SeminormalFromRho(
-        from_jsonable(d["eq"]), from_jsonable(d["rho"])),
-    "coproduct_perm": lambda d: pmm.CoproductPerm(from_jsonable(d["family"]),
-                                                  from_jsonable(d["rho"])),
-    "conjugator_same_partition": lambda d: pmm.ConjugatorSamePartition(
-        from_jsonable(d["f"]), from_jsonable(d["g"]), from_jsonable(d["eq"])),
-    "odd_length_gadget": lambda d: gdm.OddLengthGadget(from_jsonable(d["g"])),
-    "interred_cf": lambda d: gdm.InterredCFPerm(from_jsonable(d["f"])),
-    "conj_reduction": lambda d: gdm.ConjReductionPerm(
-        from_jsonable(d["f"]), from_jsonable(d["eq"]), _i(d["x"])),
-    "seminormal_to_normal": lambda d: nfm.SeminormalToNormal(
-        from_jsonable(d["f"])),
-    "rho_const": lambda d: nfm.RhoConst(bool(d["value"])),
-    "rho_closure": lambda d: nfm.RhoClosure(from_jsonable(d["f"]),
-                                            from_jsonable(d["eq"])),
-    "rho_from_normal": lambda d: nfm.RhoFromNormal(from_jsonable(d["fprime"])),
-    "rho_card_const": lambda d: nfm.RhoCardConst(_i(d["c"])),
-    "rho_card_for_blocks": lambda d: nfm.RhoCardForBlocks(
-        from_jsonable(d["eq"]),
-        [(_i(r), _i(c)) for r, c in d["reps_with_cards"]]),
-    "rho_halting_cf": lambda d: gdm.RhoHaltingCF(),
-    "rho_pi_xy": lambda d: gdm.RhoPiXY(from_jsonable(d["f"])),
+# ---------------------------------------------------------------------------
+# field codecs, (encode, decode), and the table
+
+
+INT = (_n, _i)
+STR = (lambda v: v, lambda v: v)
+BOOL = (STR[0], bool)
+NODE = (to_jsonable, from_jsonable)
+INTS = (lambda vs: [_n(v) for v in vs], lambda vs: [_i(v) for v in vs])
+PAIRS = (lambda ps: [[_n(a), _n(b)] for a, b in ps],
+         lambda ps: [(_i(a), _i(b)) for a, b in ps])
+TABLE = (lambda t: PAIRS[0](sorted(t.items())), lambda t: dict(PAIRS[1](t)))
+_RULE = (("modulus", INT), ("residue", INT), ("kind", STR), ("a", INT), ("b", INT))
+RULES = (lambda rs: [_encode(r, _RULE) for r in rs],
+         lambda rs: [_decode(pmm.Rule, _RULE, r) for r in rs])
+
+_FIELDS: dict[type, tuple] = {
+    # functions
+    eqm.ConstFun: (("c", INT),),
+    eqm.IdentityFun: (),
+    eqm.ModFun: (("m", INT),),
+    eqm.TableThenIdentity: (("table", TABLE),),
+    eqm.HaltingLabel: (("variant", STR), ("code", INT)),
+    # equivalences
+    eqm.Singletons: (),
+    eqm.Full: (),
+    eqm.Modulo: (("m", INT),),
+    eqm.FibersOf: (("fun", NODE),),
+    eqm.CycleEqOf: (("perm", NODE), ("strategy", STR), ("reps", INTS)),
+    eqm.ImageEq: (("base", NODE), ("h", NODE)),
+    eqm.CoproductEq: (("family", NODE),),
+    eqm.PiXY: (("f", NODE), ("x", INT), ("y", INT)),
+    # families
+    eqm.ConstantFamily: (("eq", NODE),),
+    eqm.HaltingFamily: (("variant", STR),),
+    eqm.PiXYFamily: (("f", NODE),),
+    # permutations
+    pmm.Identity: (),
+    pmm.Transposition: (("a", INT), ("b", INT)),
+    pmm.FinitaryProduct: (("transpositions", PAIRS),),
+    pmm.DeltaSucc: (),
+    pmm.PiecewiseResidue: (("rules", RULES), ("check_window", INT)),
+    pmm.TranspositionTimes: (("x", INT), ("y", INT), ("base", NODE)),
+    pmm.Compose: (("f", NODE), ("g", NODE)),
+    pmm.Inverse: (("f", NODE),),
+    pmm.NormalFromSet: (("eq", NODE), ("rep", INT)),
+    pmm.FromRho: (("eq", NODE), ("rho", NODE)),
+    pmm.SeminormalFromRho: (("eq", NODE), ("rho", NODE)),
+    pmm.CoproductPerm: (("family", NODE), ("rho", NODE)),
+    pmm.ConjugatorSamePartition: (("f", NODE), ("g", NODE), ("eq", NODE)),
+    gdm.OddLengthGadget: (("g", NODE),),
+    gdm.InterredCFPerm: (("f", NODE),),
+    gdm.ConjReductionPerm: (("f", NODE), ("eq", NODE, "base"), ("x", INT)),
+    nfm.SeminormalToNormal: (("f", NODE),),
+    # rho expressions
+    nfm.RhoConst: (("value", BOOL),),
+    nfm.RhoClosure: (("f", NODE), ("eq", NODE)),
+    nfm.RhoFromNormal: (("fprime", NODE),),
+    nfm.RhoCardConst: (("c", INT),),
+    nfm.RhoCardForBlocks: (("eq", NODE), ("reps_with_cards", PAIRS)),
+    gdm.RhoHaltingCF: (),
+    gdm.RhoPiXY: (("f", NODE),),
 }
+_BY_KIND = {cls.kind: cls for cls in _FIELDS}
 
 
 # ---------------------------------------------------------------------------

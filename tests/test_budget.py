@@ -141,7 +141,7 @@ def _queries(obj):
 
 
 def test_every_serializable_kind_has_a_fixture():
-    kinds = {cls.kind for cls in serialize._ENCODERS
+    kinds = {cls.kind for cls in serialize._FIELDS
              if issubclass(cls, (PermExpr, EqExpr))}
     assert kinds == {kind for kind, _ in FIXTURES}
 

@@ -135,6 +135,21 @@ def test_malformed_cycle_eq_strategy_exit_code(tmp_path, strategy):
     assert r.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("text", [
+    # a cardinality rho would map both 0 and 2 to 0
+    {"kind": "from_rho", "eq": {"kind": "modulo", "m": "2"},
+     "rho": {"kind": "rho_card_const", "c": "0"}},
+    {"kind": "coproduct_perm", "family": {"kind": "halting_family", "variant": "bogus"},
+     "rho": {"kind": "rho_halting_cf"}},
+], ids=["from_rho_cardinality_rho", "halting_family_bogus_variant"])
+def test_node_refused_by_its_constructor_exit_code(tmp_path, text):
+    bad = tmp_path / "perm.json"
+    bad.write_text(json.dumps(text))
+    r = run_cli("eval", str(bad), "2")
+    assert r.returncode == 1, r.stderr
+    assert r.stderr.startswith("error: malformed ") and r.stdout == ""
+
+
 def test_selfcheck_core_suite():
     r = run_cli("selfcheck", "--suite", "core")
     assert r.returncode == 0

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -26,6 +27,7 @@ from permdec import (
 from permdec import cycles as cyc
 from permdec import gadgets as gd
 from permdec import normalform as nf
+from permdec import serialize
 from permdec.serialize import (
     SerializationError,
     dumps,
@@ -33,6 +35,13 @@ from permdec.serialize import (
     loads,
     to_jsonable,
 )
+
+# One instance of every serialized kind, as the per-kind encoders wrote it
+# before one field table replaced them, and inputs that lean on the reader
+# ("load": missing fields, an old kind name, bare integers) with the text
+# they dumped to then
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "serialize_golden.json").read_text())
 
 
 SAMPLES = [
@@ -126,3 +135,32 @@ def test_malformed_input_is_rejected():
     # bare JSON integers are tolerated on input, only output insists on strings
     t = from_jsonable({"kind": "transposition", "a": 2, "b": 3})
     assert to_jsonable(t)["a"] == "2"
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=[e["name"] for e in GOLDEN])
+def test_golden_bytes(entry):
+    assert dumps(loads(entry.get("load", entry["dumps"]))) == entry["dumps"]
+
+
+def test_golden_file_covers_every_kind():
+    assert ({cls.kind for cls in serialize._FIELDS}
+            == {e["name"] for e in GOLDEN if "load" not in e})
+
+
+# nodes that only their constructor refuses
+REFUSED_BY_CONSTRUCTOR = {
+    "from_rho": '{"kind": "from_rho", "eq": {"kind": "modulo", "m": "2"}, '
+                '"rho": {"kind": "rho_card_const", "c": "0"}}',
+    "seminormal_from_rho": '{"kind": "seminormal_from_rho", "eq": {"kind": '
+                           '"modulo", "m": "2"}, "rho": {"kind": "rho_const", '
+                           '"value": true}}',
+    "halting_family": '{"kind": "coproduct_perm", "family": {"kind": '
+                      '"halting_family", "variant": "bogus"}, "rho": {"kind": '
+                      '"rho_halting_cf"}}',
+}
+
+
+@pytest.mark.parametrize("kind", REFUSED_BY_CONSTRUCTOR)
+def test_constructor_checks_refuse_at_load(kind):
+    with pytest.raises(SerializationError, match=f"malformed '{kind}' node"):
+        loads(REFUSED_BY_CONSTRUCTOR[kind])
