@@ -326,15 +326,17 @@ class RhoExpr:
         raise NotImplementedError
 
 
-def _rho_query(rho, eq: EqExpr) -> Callable[[int, Fuel], int]:
-    """rho as a (point, fuel) query about eq.  A RhoExpr takes the fuel, a
-    coproduct one eq as well; any other callable is a plain predicate of
-    the point."""
-    if not isinstance(rho, RhoExpr):
-        return lambda x, fuel: rho(x)
-    if rho.rho_kind == "coproduct_greater":
-        return partial(rho, eq)
-    return rho
+class _MemberRho(partial, RhoExpr):
+    """_MemberRho(rho, eq) asks the "coproduct_greater" rho about one member
+    relation eq of its coproduct: a greater-element rho of that member."""
+
+
+def _rho_query(rho) -> Callable[[int, Fuel], int]:
+    """rho as a (point, fuel) query.  A RhoExpr takes the fuel; any other
+    callable is a plain predicate of the point."""
+    if isinstance(rho, RhoExpr):
+        return rho
+    return lambda x, fuel: rho(x)
 
 
 class FromRho(PermExpr):
@@ -350,11 +352,11 @@ class FromRho(PermExpr):
     kind = "from_rho"
 
     def __init__(self, eq: EqExpr, rho):
-        if isinstance(rho, RhoExpr) and rho.rho_kind == "cardinality":
+        if isinstance(rho, RhoExpr) and rho.rho_kind != "greater":
             raise ValueError("FromRho needs a greater-element rho")
         self.eq = eq
         self.rho = rho
-        self._rho = _rho_query(rho, eq)
+        self._rho = _rho_query(rho)
         self._cache = BlockCache(eq)
 
     def fwd(self, x: int, fuel: Fuel) -> int:
@@ -397,7 +399,7 @@ class SeminormalFromRho(PermExpr):
             raise ValueError("SeminormalFromRho needs a cardinality rho")
         self.eq = eq
         self.rho = rho
-        self._rho = _rho_query(rho, eq)
+        self._rho = _rho_query(rho)
         self._cache = BlockCache(eq)
 
     def _map(self, x: int, step: int, fuel: Fuel) -> int:
@@ -452,7 +454,8 @@ class CoproductPerm(PermExpr):
     def _part(self, z: int) -> FromRho:
         part = self._parts.get(z)
         if part is None:
-            part = self._parts[z] = FromRho(self.family.member(z), self.rho)
+            member = self.family.member(z)
+            part = self._parts[z] = FromRho(member, _MemberRho(self.rho, member))
         return part
 
     def fwd(self, n: int, fuel: Fuel) -> int:

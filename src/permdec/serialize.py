@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import inspect
 import json
-from functools import cache
 from typing import Any
 
 from . import equivalence as eqm
@@ -49,7 +48,6 @@ def _encode(obj: Any, fields: tuple) -> dict:
             for key, codec, *attr in fields}
 
 
-@cache
 def _defaults(cls: type) -> list:
     return [p.default for p in inspect.signature(cls).parameters.values()]
 
@@ -103,7 +101,8 @@ PAIRS = (lambda ps: [[_n(a), _n(b)] for a, b in ps],
 TABLE = (lambda t: PAIRS[0](sorted(t.items())), lambda t: dict(PAIRS[1](t)))
 _RULE = (("modulus", INT), ("residue", INT), ("kind", STR), ("a", INT), ("b", INT))
 RULES = (lambda rs: [_encode(r, _RULE) for r in rs],
-         lambda rs: [_decode(pmm.Rule, _RULE, r) for r in rs])
+         lambda rs: [pmm.Rule(*(codec[1](r[key]) for key, codec in _RULE))
+                     for r in rs])  # every rule field is required
 
 _FIELDS: dict[type, tuple] = {
     # functions

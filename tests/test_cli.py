@@ -139,9 +139,13 @@ def test_malformed_cycle_eq_strategy_exit_code(tmp_path, strategy):
     # a cardinality rho would map both 0 and 2 to 0
     {"kind": "from_rho", "eq": {"kind": "modulo", "m": "2"},
      "rho": {"kind": "rho_card_const", "c": "0"}},
+    # a coproduct rho asked about Modulo(2) would too
+    {"kind": "from_rho", "eq": {"kind": "modulo", "m": "2"},
+     "rho": {"kind": "rho_pi_xy", "f": {"kind": "identity"}}},
     {"kind": "coproduct_perm", "family": {"kind": "halting_family", "variant": "bogus"},
      "rho": {"kind": "rho_halting_cf"}},
-], ids=["from_rho_cardinality_rho", "halting_family_bogus_variant"])
+], ids=["from_rho_cardinality_rho", "from_rho_coproduct_rho",
+        "halting_family_bogus_variant"])
 def test_node_refused_by_its_constructor_exit_code(tmp_path, text):
     bad = tmp_path / "perm.json"
     bad.write_text(json.dumps(text))

@@ -77,6 +77,11 @@ def test_rho_kind_validation():
         nf.perm_from_rho(Modulo(2), nf.RhoCardConst(3))
     with pytest.raises(ValueError):
         nf.seminormal_from_rho(Modulo(2), nf.RhoConst(True))
+    # a coproduct rho answers about a member relation, not about Modulo(2)
+    with pytest.raises(ValueError):
+        nf.perm_from_rho(Modulo(2), gd.RhoHaltingCF())
+    with pytest.raises(ValueError):
+        nf.perm_from_rho(Modulo(2), gd.RhoPiXY(Identity()))
 
 
 def test_rho_for_finitely_many_blocks():

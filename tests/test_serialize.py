@@ -132,6 +132,10 @@ def test_malformed_input_is_rejected():
         from_jsonable({"no_kind": True})
     with pytest.raises(SerializationError):
         from_jsonable({"kind": "transposition", "a": "x", "b": "2"})
+    # a rule's fields have no defaults: a "const" rule needs its b
+    with pytest.raises(SerializationError):
+        from_jsonable({"kind": "piecewise_residue", "rules": [
+            {"modulus": "0", "residue": "0", "kind": "const", "a": "0"}]})
     # bare JSON integers are tolerated on input, only output insists on strings
     t = from_jsonable({"kind": "transposition", "a": 2, "b": 3})
     assert to_jsonable(t)["a"] == "2"
@@ -147,20 +151,25 @@ def test_golden_file_covers_every_kind():
             == {e["name"] for e in GOLDEN if "load" not in e})
 
 
-# nodes that only their constructor refuses
+# nodes that only their constructor refuses, with the kind named in the error
 REFUSED_BY_CONSTRUCTOR = {
-    "from_rho": '{"kind": "from_rho", "eq": {"kind": "modulo", "m": "2"}, '
-                '"rho": {"kind": "rho_card_const", "c": "0"}}',
-    "seminormal_from_rho": '{"kind": "seminormal_from_rho", "eq": {"kind": '
-                           '"modulo", "m": "2"}, "rho": {"kind": "rho_const", '
-                           '"value": true}}',
-    "halting_family": '{"kind": "coproduct_perm", "family": {"kind": '
-                      '"halting_family", "variant": "bogus"}, "rho": {"kind": '
-                      '"rho_halting_cf"}}',
+    "from_rho": ("from_rho", '{"kind": "from_rho", "eq": {"kind": "modulo", '
+                 '"m": "2"}, "rho": {"kind": "rho_card_const", "c": "0"}}'),
+    "from_rho_coproduct_rho": ("from_rho", '{"kind": "from_rho", "eq": '
+                               '{"kind": "modulo", "m": "2"}, "rho": {"kind": '
+                               '"rho_halting_cf"}}'),
+    "seminormal_from_rho": ("seminormal_from_rho", '{"kind": '
+                            '"seminormal_from_rho", "eq": {"kind": "modulo", '
+                            '"m": "2"}, "rho": {"kind": "rho_const", '
+                            '"value": true}}'),
+    "halting_family": ("halting_family", '{"kind": "coproduct_perm", "family": '
+                       '{"kind": "halting_family", "variant": "bogus"}, "rho": '
+                       '{"kind": "rho_halting_cf"}}'),
 }
 
 
-@pytest.mark.parametrize("kind", REFUSED_BY_CONSTRUCTOR)
-def test_constructor_checks_refuse_at_load(kind):
+@pytest.mark.parametrize("case", REFUSED_BY_CONSTRUCTOR)
+def test_constructor_checks_refuse_at_load(case):
+    kind, text = REFUSED_BY_CONSTRUCTOR[case]
     with pytest.raises(SerializationError, match=f"malformed '{kind}' node"):
-        loads(REFUSED_BY_CONSTRUCTOR[kind])
+        loads(text)
