@@ -90,8 +90,7 @@ def _cmd_decide(args) -> int:
 def _cmd_normalize(args) -> int:
     f = _load(args.perm, PermExpr, "a permutation")
     eq = _load(args.witness, EqExpr, "an equivalence")
-    w = cyc.CycleWitness(
-        cyc.DECIDER, lambda a, b, fu=None: eq_decide(eq, a, b, fu), f)
+    w = cyc.eq_witness(eq, f)
     fp = normalize(f, w, eq=eq)
     text = dumps(fp)
     with open(args.output, "w") as fh:
@@ -104,8 +103,7 @@ def _cmd_conjugate(args) -> int:
     f = _load(args.f, PermExpr, "a permutation")
     g = _load(args.g, PermExpr, "a permutation")
     eq = _load(args.witness, EqExpr, "an equivalence")
-    w = cyc.CycleWitness(
-        cyc.DECIDER, lambda a, b, fu=None: eq_decide(eq, a, b, fu), f)
+    w = cyc.eq_witness(eq, f)
     if args.iso:
         theta = _load(args.iso, PermExpr, "a permutation")
         h = conjugator_from_isomorphism(f, g, theta, w, eq=eq)
@@ -182,8 +180,7 @@ def _cmd_gadget(args) -> int:
     print(f"identity base: pointwise identity on [0,50): {'yes' if fixed else 'no'}")
     g0 = even_zigzag()
     eq = selfcheck.evens_block_eq()
-    wg = cyc.CycleWitness(
-        cyc.DECIDER, lambda a, b, fu=None: eq_decide(eq, a, b, fu), g0)
+    wg = cyc.eq_witness(eq, g0)
     f2, w2 = gd.conj_reduction_perm(g0, wg, 0, eq=eq)
     members = [u for u in range(30) if w2.payload(0, u)]
     print("evens base: block of 0 starts " + ", ".join(str(u) for u in members))

@@ -29,6 +29,7 @@ from itertools import count
 from typing import Callable, Optional
 
 from .core import Exhausted, Found, Fuel, FuelExhausted, delta_inv, unpair
+from .equivalence import EqExpr, eq_decide
 from .permutation import OrbitCache, PermExpr
 
 DECIDER = "decider"
@@ -45,6 +46,12 @@ class CycleWitness:
     kind: str
     payload: Callable
     subject: PermExpr
+
+
+def eq_witness(eq: EqExpr, f: PermExpr) -> CycleWitness:
+    """The decider witness of f read from eq, a relation the caller knows
+    to be f's cycle partition."""
+    return CycleWitness(DECIDER, lambda x, y, fu=None: eq_decide(eq, x, y, fu), f)
 
 
 # what a payload of each kind already is, unchanged: a minimum is a unique

@@ -59,6 +59,9 @@ class RhoConst(RhoExpr):
     rho_kind = "greater"
 
     def __init__(self, value: bool):
+        # the integers 0 and 1 read as false and true; nothing else does
+        if not isinstance(value, int) or value not in (0, 1):
+            raise ValueError(f"rho_const value must be a boolean, got {value!r}")
         self.value = bool(value)
 
     def __call__(self, x: int, fuel: Optional[Fuel] = None) -> int:

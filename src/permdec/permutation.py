@@ -161,8 +161,9 @@ class Rule:
     """One branch of a PiecewiseResidue map.
 
     modulus == 0 selects the single point x == residue; otherwise the branch
-    matches x % modulus == residue.  kind is "affine" (a*x + b) or "const"
-    (value b, only sensible together with modulus == 0).
+    matches x % modulus == residue.  kind is "affine" (a*x + b, a != 0) or
+    "const" (value b, with modulus == 0 only); the constructor refuses
+    anything else.
     """
 
     modulus: int
@@ -170,6 +171,14 @@ class Rule:
     kind: str
     a: int = 1
     b: int = 0
+
+    def __post_init__(self):
+        if self.kind not in ("affine", "const"):
+            raise ValueError(f"rule kind must be 'affine' or 'const', got {self.kind!r}")
+        if self.kind == "const" and self.modulus != 0:
+            raise ValueError("const branch over a residue class is not injective")
+        if self.kind == "affine" and self.a == 0:
+            raise ValueError("affine branch needs a != 0")
 
     def matches(self, x: int) -> bool:
         if self.modulus == 0:
@@ -192,11 +201,6 @@ class PiecewiseResidue(PermExpr):
     kind = "piecewise_residue"
 
     def __init__(self, rules: list[Rule], check_window: int = 10_000):
-        for r in rules:
-            if r.kind == "const" and r.modulus != 0:
-                raise ValueError("const branch over a residue class is not injective")
-            if r.kind == "affine" and r.a == 0:
-                raise ValueError("affine branch needs a != 0")
         self.rules = list(rules)
         self.check_window = check_window
         if check_window:

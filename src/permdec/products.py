@@ -1,25 +1,41 @@
-"""Propagating cycle deciders and cycle-finiteness procedures through
-products with finitary permutations.
+"""Cycle deciders and cycle-finiteness procedures for products with
+finitary permutations, by one arc surgery.
 
-Orientation is fixed throughout: the product of the transposition (x y)
-with f means "apply f first, then swap x and y".  Multiplying by one
-transposition does exactly one of three things to the cycle structure:
+Orientation is fixed throughout: a product applies its right factor first.
+For g = a*f*b with finitary a and b, conjugating by b gives b g b^-1 =
+sigma*f with sigma = b*a.  So u and v share a g-cycle exactly when b(u) and
+b(v) share a sigma*f-cycle, and the g-cycle of u is finite exactly when the
+sigma*f-cycle of b(u) is.
 
-  (a) x and y on the same f-cycle: the cycle splits along the segment
-      x, f(x), ..., f^(i-1)(x) (or the mirrored segment from y);
-  (b) different cycles, at least one finite: the two cycles fuse;
-  (c) different cycles, both infinite: the four half-rays recombine, and
-      membership is decided by the sign of the power reaching a point.
+sigma moves a finite set S.  Every f-cycle that meets S is cut into arcs:
+the arc of s in S runs from s up to the next point of S on the cycle.  On an
+infinite cycle the arc of the last point of S runs on forever, and a ray
+runs up to the first point of S.  sigma*f agrees with f except at the end
+of an arc: the arc of s runs into the arc of sigma(s'), where s' is the
+point of S after s, and the ray runs into the arc of sigma of the first
+point.  The sigma*f-cycles through S are the chains of arcs these joins
+link, and such a cycle is infinite exactly when its chain holds an arc
+that runs on forever.  An f-cycle that misses S is a sigma*f-cycle as it
+stands.
+
+The paper shows that cycle deciders of such products cannot be computed
+from a decider of f alone; with cycle finiteness of f they can, and that is
+what this module builds.  The caller's finiteness procedure is asked once
+per f-cycle through S.  A cycle it calls finite is walked once, one unit of
+fuel per step, so calling an infinite cycle finite ends in FuelExhausted
+instead of a wrong answer.  Calling a finite cycle infinite is not
+detected.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable, Optional
 
 from .core import Fuel
 from .permutation import (
     Compose,
-    Inverse,
+    FinitaryProduct,
     OrbitCache,
     PermExpr,
     TranspositionTimes,
@@ -35,175 +51,127 @@ def _as_decider(w: cyc.CycleWitness) -> Decider:
     return cyc.witness_convert(w, cyc.DECIDER).payload
 
 
-def _with_fuel(cf: CFProc) -> CFProc:
-    """A caller's one-argument finiteness procedure, taking a fuel too."""
-    return lambda u, fu=None: cf(u)
+def _product_parts(sigma: dict[int, int], f: PermExpr, pi: Decider,
+                   cf: Callable[[int], bool]) -> tuple[Decider, CFProc]:
+    """Decider and finiteness procedure for sigma*f, given sigma's finite
+    table, a decider pi of f's cycles and f's one-argument finiteness
+    procedure cf; both results take an optional fuel.
 
-
-def _product_parts(x: int, y: int, f: PermExpr, pi: Decider,
-                   cf: CFProc) -> tuple[Decider, CFProc]:
-    """Decider and finiteness procedure for (x y) applied after f; cf takes
-    (u, fuel), and both results take an optional fuel.
-
-    The case analysis is resolved lazily on first use so that building a
-    long chain of products stays cheap until queried.
+    The arcs are cut on the first query, so a product that is only built
+    asks nothing of pi or cf.
     """
-    if x == y:
-        return pi, cf
-
+    sigma = {s: t for s, t in sigma.items() if s != t}
     orbits = OrbitCache(f)
-    state: dict = {}
+    # once cut: one (first point, index on a finite cycle or None, sorted
+    # positions of the points of S, those points) per f-cycle through S,
+    # and the chain of each arc and ray, as (its root, whether it is finite)
+    cut: list = []
+    chain_of: dict[int, Optional[tuple]] = {}    # point -> its chain, None off S
 
-    def resolve(fu: Fuel) -> None:
-        if state:
-            return
-        if pi(x, y, fu):
-            # (a) split: walk both points forward until one meets the other
-            i = 1
-            while True:
-                fu.spend()
-                if orbits.value(x, i, fu) == y:
-                    lower = x
+    def cut_arcs(fu: Fuel) -> tuple:
+        groups: list[list[int]] = []
+        for s in sigma:
+            for g in groups:
+                if pi(g[0], s, fu):
+                    g.append(s)
                     break
-                if orbits.value(y, i, fu) == x:
-                    lower = y
-                    break
-                i += 1
-            state["case"] = "a"
-            state["seg"] = {orbits.value(lower, t, fu) for t in range(i)}
-            return
-        fx, fy = cf(x, fu), cf(y, fu)
-        if fx or fy:
-            state["case"] = "b"
-            state["fused_finite"] = fx and fy
-            return
-        state["case"] = "c"
-        state["labels"] = {}
-
-    def in_union(u: int, fu: Fuel) -> bool:
-        return pi(u, x, fu) or pi(u, y, fu)
-
-    def ray_label(u: int, fu: Fuel) -> Optional[str]:
-        # (c): nonnegative powers of x and negative powers of y land in one
-        # product cycle, the mirrored half-rays in the other.
-        labels = state["labels"]
-        if u not in labels:
-            if pi(u, x, fu):
-                labels[u] = "x" if orbits.find_k(x, u, fu) >= 0 else "y"
-            elif pi(u, y, fu):
-                labels[u] = "y" if orbits.find_k(y, u, fu) >= 0 else "x"
             else:
-                labels[u] = None
-        return labels[u]
+                groups.append([s])
+        cycles, joins, endless = [], [], []
+        for g in groups:
+            first = g[0]
+            if cf(first):
+                index, v = {}, first
+                while v not in index:
+                    fu.spend()
+                    index[v] = len(index)
+                    v = f.fwd(v, fu)
+                pos = index
+            else:
+                index = None
+                pos = {s: orbits.find_k(first, s, fu) for s in g}
+            order = sorted(g, key=pos.__getitem__)
+            cycles.append((first, index, [pos[s] for s in order], order))
+            joins += [(s, sigma[t]) for s, t in zip(order, order[1:])]
+            if index is None:
+                joins.append((("ray", first), sigma[order[0]]))
+                endless.append(order[-1])
+            else:
+                joins.append((order[-1], sigma[order[0]]))
+        parent: dict = {}
 
-    pair_memo: dict[tuple[int, int], bool] = {}
-    cf_memo: dict[int, bool] = {}
+        def root(n):
+            while n in parent:
+                n = parent[n]
+            return n
+
+        for n, m in joins:
+            rn, rm = root(n), root(m)
+            if rn != rm:
+                parent[rn] = rm
+        ends = {root(n) for n in endless}
+        return cycles, {n: (root(n), root(n) not in ends) for j in joins for n in j}
+
+    def locate(x: int, fu: Fuel) -> Optional[tuple]:
+        if not cut:
+            cut.append(cut_arcs(fu))
+        cycles, chains = cut[0]
+        for first, index, ks, order in cycles:
+            if pi(first, x, fu):
+                k = index[x] if index is not None else orbits.find_k(first, x, fu)
+                i = bisect_right(ks, k) - 1
+                # a finite cycle is indexed from a point of S, so only an
+                # infinite one has points before its first point of S: its ray
+                return chains[("ray", first) if i < 0 else order[i]]
+        return None
+
+    def chain(x: int, fu: Fuel) -> Optional[tuple]:
+        if x not in chain_of:
+            chain_of[x] = locate(x, fu)
+        return chain_of[x]
 
     def decider(u: int, v: int, fu: Optional[Fuel] = None) -> bool:
         if u == v:
             return True
-        key = (u, v) if u < v else (v, u)
-        hit = pair_memo.get(key)
-        if hit is not None:
-            return hit
-        ans = _decide(u, v, fu or Fuel())
-        pair_memo[key] = ans
-        return ans
-
-    def _decide(u: int, v: int, fu: Fuel) -> bool:
-        resolve(fu)
-        case = state["case"]
-        if case == "a":
-            iu, iv = pi(u, x, fu), pi(v, x, fu)
-            if iu and iv:
-                seg = state["seg"]
-                return (u in seg) == (v in seg)
-            if iu or iv:
-                return False
+        fu = fu or Fuel()
+        cu, cv = chain(u, fu), chain(v, fu)
+        if cu is None and cv is None:
             return pi(u, v, fu)
-        if case == "b":
-            iu, iv = in_union(u, fu), in_union(v, fu)
-            if iu and iv:
-                return True
-            if iu or iv:
-                return False
-            return pi(u, v, fu)
-        lu, lv = ray_label(u, fu), ray_label(v, fu)
-        if lu is None and lv is None:
-            return pi(u, v, fu)
-        return lu == lv
+        return cu == cv
 
     def cf_out(u: int, fu: Optional[Fuel] = None) -> bool:
-        hit = cf_memo.get(u)
-        if hit is not None:
-            return hit
-        ans = _cf(u, fu or Fuel())
-        cf_memo[u] = ans
-        return ans
-
-    def _cf(u: int, fu: Fuel) -> bool:
-        resolve(fu)
-        case = state["case"]
-        if case == "a":
-            if pi(u, x, fu):
-                return u in state["seg"] or cf(x, fu)
-            return cf(u, fu)
-        if case == "b":
-            if in_union(u, fu):
-                return state["fused_finite"]
-            return cf(u, fu)
-        if ray_label(u, fu) is not None:
-            return False
-        return cf(u, fu)
+        c = chain(u, fu or Fuel())
+        return cf(u) if c is None else c[1]
 
     return decider, cf_out
 
 
 def transposition_times_cf(x: int, y: int, f: PermExpr, w: cyc.CycleWitness,
-                           cf: CFProc) -> tuple[cyc.CycleWitness, CFProc]:
+                           cf: Callable[[int], bool]) -> tuple[cyc.CycleWitness, CFProc]:
     """Decider and finiteness procedure for the product (x y) after f."""
-    expr = TranspositionTimes(x, y, f)
-    decider, cf_out = _product_parts(x, y, f, _as_decider(w), _with_fuel(cf))
-    return cyc.CycleWitness(cyc.DECIDER, decider, expr), cf_out
-
-
-def transposition_times(x: int, y: int, f: PermExpr, w: cyc.CycleWitness,
-                        cf: CFProc) -> cyc.CycleWitness:
-    return transposition_times_cf(x, y, f, w, cf)[0]
+    decider, cf_out = _product_parts({x: y, y: x}, f, _as_decider(w), cf)
+    return cyc.CycleWitness(cyc.DECIDER, decider, TranspositionTimes(x, y, f)), cf_out
 
 
 def finitary_product(a_code: int, f: PermExpr, b_code: int,
                      w: cyc.CycleWitness,
-                     cf: CFProc) -> tuple[PermExpr, cyc.CycleWitness, CFProc]:
+                     cf: Callable[[int], bool]) -> tuple[PermExpr, cyc.CycleWitness, CFProc]:
     """Decider and finiteness procedure for a*f*b with finitary a, b given
-    by their eta codes.
-
-    Two passes: fold a's transpositions onto f one at a time, then invert
-    (cycles are unchanged) and fold b's transpositions, which multiplies by
-    b inverse on the left; a final inversion yields a*f*b itself.
-    """
+    by their eta codes: the parts of sigma*f with sigma = b*a, asked at b(u)."""
     a = eta_decode(a_code)
     b = eta_decode(b_code)
+    sigma = FinitaryProduct(b.transpositions + a.transpositions).support_mapping()
+    parts_decider, parts_cf = _product_parts(sigma, f, _as_decider(w), cf)
+    to_b = b.support_mapping()
 
-    cur: PermExpr = f
-    decider = _as_decider(w)
-    cur_cf = _with_fuel(cf)
-    for (u, v) in reversed(a.transpositions):
-        if u == v:
-            continue
-        decider, cur_cf = _product_parts(u, v, cur, decider, cur_cf)
-        cur = TranspositionTimes(u, v, cur)
+    def decider(u: int, v: int, fu: Optional[Fuel] = None) -> bool:
+        return parts_decider(to_b.get(u, u), to_b.get(v, v), fu)
 
-    cur = Inverse(cur)
-    for (u, v) in b.transpositions:
-        if u == v:
-            continue
-        decider, cur_cf = _product_parts(u, v, cur, decider, cur_cf)
-        cur = TranspositionTimes(u, v, cur)
+    def cf_out(u: int, fu: Optional[Fuel] = None) -> bool:
+        return parts_cf(to_b.get(u, u), fu)
 
     expr = Compose(a, Compose(f, b))
-    witness = cyc.CycleWitness(cyc.DECIDER, decider, expr)
-    return expr, witness, cur_cf
+    return expr, cyc.CycleWitness(cyc.DECIDER, decider, expr), cf_out
 
 
 def cf_from_product_deciders(f: PermExpr, w: cyc.CycleWitness,

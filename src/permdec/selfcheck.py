@@ -111,11 +111,6 @@ def three_cycle_evens_eq() -> EqExpr:
         label="evens+135")
 
 
-def _witness_of(eq: EqExpr, f: PermExpr) -> cyc.CycleWitness:
-    return cyc.CycleWitness(
-        cyc.DECIDER, lambda x, y, fu=None: eq_decide(eq, x, y, fu), f)
-
-
 def _random_finitary(rng: random.Random, points: int = 40,
                      swaps: int = 8) -> FinitaryProduct:
     ts = []
@@ -280,7 +275,7 @@ def criterion_conjugators() -> list[tuple[str, bool]]:
     for i in range(10):
         f = _random_finitary(rng)
         eq = _finitary_eq(f)
-        h = conjugator_same_partition(f, Inverse(f), _witness_of(eq, f), eq=eq)
+        h = conjugator_same_partition(f, Inverse(f), cyc.eq_witness(eq, f), eq=eq)
         cases.append((f"finitary inverse pair {i}", f, Inverse(f), h, eq, eq))
 
     for i in range(7):
@@ -288,7 +283,7 @@ def criterion_conjugators() -> list[tuple[str, bool]]:
         theta = _random_finitary(rng)
         g = Compose(theta, Compose(Inverse(f), Inverse(theta)))
         eq = _finitary_eq(f)
-        h = conjugator_from_isomorphism(f, g, theta, _witness_of(eq, f), eq=eq)
+        h = conjugator_from_isomorphism(f, g, theta, cyc.eq_witness(eq, f), eq=eq)
         cases.append((f"finitary via isomorphism {i}", f, g, h,
                       eq, ImageEq(eq, theta)))
 
@@ -298,31 +293,31 @@ def criterion_conjugators() -> list[tuple[str, bool]]:
     f7 = three_cycle_evens()
     eq7 = three_cycle_evens_eq()
 
-    h = conjugator_same_partition(g0, Inverse(g0), _witness_of(eqe, g0), eq=eqe)
+    h = conjugator_same_partition(g0, Inverse(g0), cyc.eq_witness(eqe, g0), eq=eqe)
     cases.append(("evens cycle vs inverse", g0, Inverse(g0), h, eqe, eqe))
-    h = conjugator_same_partition(g0, g0, _witness_of(eqe, g0), eq=eqe)
+    h = conjugator_same_partition(g0, g0, cyc.eq_witness(eqe, g0), eq=eqe)
     cases.append(("evens cycle vs itself", g0, g0, h, eqe, eqe))
     m2 = Modulo(2)
-    h = conjugator_same_partition(eo, Inverse(eo), _witness_of(m2, eo), eq=m2)
+    h = conjugator_same_partition(eo, Inverse(eo), cyc.eq_witness(m2, eo), eq=m2)
     cases.append(("evens/odds vs inverse", eo, Inverse(eo), h, m2, m2))
-    h = conjugator_same_partition(eo, eo, _witness_of(m2, eo), eq=m2)
+    h = conjugator_same_partition(eo, eo, cyc.eq_witness(m2, eo), eq=m2)
     cases.append(("evens/odds vs itself", eo, eo, h, m2, m2))
     theta = Transposition(0, 1)
     g = Compose(theta, Compose(eo, Inverse(theta)))
-    h = conjugator_from_isomorphism(eo, g, theta, _witness_of(m2, eo), eq=m2)
+    h = conjugator_from_isomorphism(eo, g, theta, cyc.eq_witness(m2, eo), eq=m2)
     cases.append(("evens/odds via swap isomorphism", eo, g, h,
                   m2, ImageEq(m2, theta)))
     theta = FinitaryProduct([(0, 2), (1, 5)])
     g = Compose(theta, Compose(Inverse(g0), Inverse(theta)))
-    h = conjugator_from_isomorphism(g0, g, theta, _witness_of(eqe, g0), eq=eqe)
+    h = conjugator_from_isomorphism(g0, g, theta, cyc.eq_witness(eqe, g0), eq=eqe)
     cases.append(("evens cycle via finitary isomorphism", g0, g, h,
                   eqe, ImageEq(eqe, theta)))
-    h = conjugator_same_partition(f7, Inverse(f7), _witness_of(eq7, f7), eq=eq7)
+    h = conjugator_same_partition(f7, Inverse(f7), cyc.eq_witness(eq7, f7), eq=eq7)
     cases.append(("evens plus 3-cycle vs inverse", f7, Inverse(f7), h,
                   eq7, eq7))
     ds = DeltaSucc()
     full = Full()
-    h = conjugator_same_partition(ds, Inverse(ds), _witness_of(full, ds),
+    h = conjugator_same_partition(ds, Inverse(ds), cyc.eq_witness(full, ds),
                                   eq=full)
     cases.append(("one-cycle successor vs inverse", ds, Inverse(ds), h,
                   full, full))
@@ -352,7 +347,7 @@ def criterion_normalize() -> list[tuple[str, bool]]:
     for name, f, eq in fixtures:
         if eq is None:
             eq = _finitary_eq(f)
-        w = _witness_of(eq, f)
+        w = cyc.eq_witness(eq, f)
         fp = normalize(f, w, eq=eq)
 
         report = normality_report(fp, 2000)
@@ -582,7 +577,7 @@ def criterion_conjreduction() -> list[tuple[str, bool]]:
 
     g0 = even_zigzag()
     eqe = evens_block_eq()
-    f2, w2 = gd.conj_reduction_perm(g0, _witness_of(eqe, g0), 0, eq=eqe)
+    f2, w2 = gd.conj_reduction_perm(g0, cyc.eq_witness(eqe, g0), 0, eq=eqe)
     orb = OrbitCache(g0)
     kval: dict[int, int] = {}
     for u in range(0, 500, 2):
@@ -684,7 +679,7 @@ def criterion_products() -> list[tuple[str, bool]]:
                 for _ in range(rng.randrange(1, 4))]
         f, eqf, cff = fixture(i)
         expr, w, cf = pr.finitary_product(
-            eta_encode(a_ts), f, eta_encode(b_ts), _witness_of(eqf, f), cff)
+            eta_encode(a_ts), f, eta_encode(b_ts), cyc.eq_witness(eqf, f), cff)
 
         def fwd(x, _a=a_ts, _b=b_ts, _f=f):
             return _apply_ts(_a, perm_eval(_f, _apply_ts(_b, x)))
@@ -707,31 +702,32 @@ def criterion_products() -> list[tuple[str, bool]]:
     out.append(("finitary products: finiteness matches brute force", ok_cf))
 
     cff = lambda x: x % 2 == 1
-    w, cf = pr.transposition_times_cf(0, 4, g0, _witness_of(eqe, g0), cff)
+    w, cf = pr.transposition_times_cf(0, 4, g0, cyc.eq_witness(eqe, g0), cff)
     ok = perm_eval(w.subject, 0) == 0
     ok = ok and not w.payload(0, 2) and w.payload(2, 6)
     ok = ok and cf(0) and not cf(2) and cf(1)
     out.append(("split case: (0 4) after the evens cycle isolates 0", ok))
 
     cf7 = lambda x: x % 2 == 1
-    w, cf = pr.transposition_times_cf(0, 1, f7, _witness_of(eq7, f7), cf7)
+    w, cf = pr.transposition_times_cf(0, 1, f7, cyc.eq_witness(eq7, f7), cf7)
     ok = w.payload(3, 8) and not cf(3) and not cf(8) and cf(7)
     out.append(("fuse case: (0 1) merges the 3-cycle into the evens", ok))
 
-    weo, cfeo = pr.transposition_times_cf(0, 1, eo, _witness_of(Modulo(2), eo),
+    weo, cfeo = pr.transposition_times_cf(0, 1, eo, cyc.eq_witness(Modulo(2), eo),
                                           lambda x: False)
     ok = weo.payload(0, 3) and not weo.payload(0, 2) and not cfeo(0)
     ok = ok and perm_eval(weo.subject, 3) == 0 and perm_eval(weo.subject, 2) == 1
     out.append(("ray case: (0 1) recombines the evens and odds half-rays", ok))
 
     def uniform(x, y, _f=f7, _eq=eq7, _cf=cf7):
-        return pr.transposition_times(x, y, _f, _witness_of(_eq, _f), _cf).payload
+        w, _ = pr.transposition_times_cf(x, y, _f, cyc.eq_witness(_eq, _f), _cf)
+        return w.payload
 
-    rec = pr.cf_from_product_deciders(f7, _witness_of(eq7, f7), uniform, 0)
+    rec = pr.cf_from_product_deciders(f7, cyc.eq_witness(eq7, f7), uniform, 0)
     ok = all(rec(x) == cf7(x) for x in range(300))
     fa = FinitaryProduct([(0, 1), (2, 3)])
     rec2 = pr.cf_from_product_deciders(
-        fa, _witness_of(_finitary_eq(fa), fa),
+        fa, cyc.eq_witness(_finitary_eq(fa), fa),
         lambda x, y: (lambda u, v, fu=None: True), None)
     ok = ok and all(rec2(x) for x in range(300))
     out.append(("finiteness recovered from the product decider family", ok))

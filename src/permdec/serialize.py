@@ -93,7 +93,7 @@ def from_jsonable(d: Any) -> Any:
 
 INT = (_n, _i)
 STR = (lambda v: v, lambda v: v)
-BOOL = (STR[0], bool)
+BOOL = STR    # RhoConst refuses a value that is not a boolean
 NODE = (to_jsonable, from_jsonable)
 INTS = (lambda vs: [_n(v) for v in vs], lambda vs: [_i(v) for v in vs])
 PAIRS = (lambda ps: [[_n(a), _n(b)] for a, b in ps],

@@ -144,8 +144,14 @@ def test_malformed_cycle_eq_strategy_exit_code(tmp_path, strategy):
      "rho": {"kind": "rho_pi_xy", "f": {"kind": "identity"}}},
     {"kind": "coproduct_perm", "family": {"kind": "halting_family", "variant": "bogus"},
      "rho": {"kind": "rho_halting_cf"}},
+    # a string is not a boolean, though bool("false") is true
+    {"kind": "from_rho", "eq": {"kind": "modulo", "m": "3"},
+     "rho": {"kind": "rho_const", "value": "false"}},
+    {"kind": "piecewise_residue", "rules": [
+        {"modulus": "2", "residue": "0", "kind": "bogus", "a": "1", "b": "0"}]},
 ], ids=["from_rho_cardinality_rho", "from_rho_coproduct_rho",
-        "halting_family_bogus_variant"])
+        "halting_family_bogus_variant", "rho_const_string_value",
+        "piecewise_residue_bogus_rule_kind"])
 def test_node_refused_by_its_constructor_exit_code(tmp_path, text):
     bad = tmp_path / "perm.json"
     bad.write_text(json.dumps(text))

@@ -1,6 +1,13 @@
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
 from permdec import (
     FinitaryProduct,
+    Fuel,
+    FuelExhausted,
     Identity,
+    Modulo,
+    Singletons,
     Transposition,
     TranspositionTimes,
     eta_encode,
@@ -10,6 +17,7 @@ from permdec import (
 )
 from permdec import cycles as cyc
 from permdec import products as pr
+from permdec import selfcheck as sc
 
 
 def _truth_decider(p, steps=400):
@@ -125,3 +133,77 @@ def test_cf_from_product_deciders():
     assert not cf(0) and not cf(8)
     cf_all = pr.cf_from_product_deciders(Identity(), _zig_witness(), uniform, None)
     assert cf_all(123)
+
+
+def test_a_cf_calling_an_infinite_cycle_finite_runs_out_of_fuel():
+    # 0 rides the infinite even cycle: its walk never closes
+    g = even_zigzag()
+    _, cf = pr.transposition_times_cf(0, 3, g, cyc.decider_one_infinite(g), lambda x: True)
+    with pytest.raises(FuelExhausted):
+        cf(0, Fuel(1000))
+
+
+def _budget_product():
+    # the 3-cycle (1 3 5) beside the evens, with points of S on both
+    f = sc.three_cycle_evens()
+    _, w, cf = pr.finitary_product(eta_encode([(0, 3), (1, 8)]), f,
+                                   eta_encode([(5, 2), (4, 10)]),
+                                   cyc.decider_one_infinite(f), lambda x: x % 2 == 1)
+    return ([lambda fu, x=x, y=y: w.payload(x, y, fu) for x in range(12) for y in range(12)]
+            + [lambda fu, x=x: cf(x, fu) for x in range(12)])
+
+
+def test_small_budgets_answer_right_or_run_out():
+    expected = [q(Fuel()) for q in _budget_product()]
+    queries = _budget_product()
+    ran_out = 0
+    for budget in range(40):
+        for q, want in zip(queries, expected):
+            try:
+                got = q(Fuel(budget))
+            except FuelExhausted:
+                ran_out += 1
+                continue
+            assert got == want
+    assert ran_out
+    # whatever ran out part-way left the memos sound
+    assert [q(Fuel()) for q in queries] == expected
+
+
+def _product_fixture(kind, f_ts):
+    # the five fixtures of the selfcheck products criterion
+    if kind == 0:
+        f = FinitaryProduct(f_ts)
+        return f, sc._finitary_eq(f), lambda x: True
+    if kind == 1:
+        return Identity(), Singletons(), lambda x: True
+    if kind == 2:
+        return even_zigzag(), sc.evens_block_eq(), lambda x: x % 2 == 1
+    if kind == 3:
+        return sc.evens_odds(), Modulo(2), lambda x: False
+    return sc.three_cycle_evens(), sc.three_cycle_evens_eq(), lambda x: x % 2 == 1
+
+
+PAIRS = st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)), max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), PAIRS, PAIRS, PAIRS)
+# several points of S on one finite cycle
+@example(0, [(0, 2), (4, 1)], [(1, 3)], [(0, 1), (1, 2), (2, 3), (3, 4)])
+@example(4, [(1, 5), (3, 7)], [(5, 0)], [])
+# several points of S on one infinite cycle, and the two infinite cycles
+# of the evens and the odds recombined
+@example(2, [(0, 4), (2, 6)], [(8, 10)], [])
+@example(3, [(0, 1), (4, 3)], [(2, 5)], [])
+def test_finitary_product_matches_brute_force(kind, a_ts, b_ts, f_ts):
+    f, eq, f_cf = _product_fixture(kind, f_ts)
+    expr, w, cf = pr.finitary_product(eta_encode(a_ts), f, eta_encode(b_ts),
+                                      cyc.eq_witness(eq, f), f_cf)
+    pts = sorted(set(range(24)) | {p for t in a_ts + b_ts for p in t})
+    related, finite = sc._ground_truth(lambda x: perm_eval(expr, x),
+                                       lambda x: perm_eval_inv(expr, x), pts)
+    for x in pts:
+        assert cf(x) == finite(x), x
+        for y in pts:
+            assert w.payload(x, y) == related(x, y), (x, y)
