@@ -68,6 +68,14 @@ class Fuel:
             raise FuelExhausted(f"probe budget of {self.budget} exhausted")
         self.used += 1
 
+    def spend_many(self, n: int, what: str) -> None:
+        """Consume n probes at once, for a loop whose length is known before
+        it starts; raise FuelExhausted naming `what` when the budget cannot
+        cover them (nothing consumed)."""
+        if self.budget is not None and self.used + n > self.budget:
+            raise FuelExhausted(f"probe budget of {self.budget} exhausted ({what})")
+        self.used += n
+
     @property
     def remaining(self) -> Optional[int]:
         return None if self.budget is None else self.budget - self.used

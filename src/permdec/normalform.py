@@ -84,28 +84,31 @@ class RhoClosure(RhoExpr):
         self.f = f
         self.eq = eq
         self._cache = BlockCache(eq)
-        self._state: dict[int, dict] = {}
+        # lr -> [members processed, those members, their images not
+        # among them]
+        self._state: dict[int, list] = {}
         self._memo: dict[int, bool] = {}
 
     def __call__(self, x: int, fuel: Optional[Fuel] = None) -> bool:
-        if x in self._memo:
-            return self._memo[x]
+        memo = self._memo
+        if x in memo:
+            return memo[x]
         fuel = fuel or Fuel()
         members, i = self._cache._position(x, fuel)
-        lr = members[0]
-        st = self._state.setdefault(
-            lr, {"n": 0, "seen": set(), "escapes": 0, "waiting": {}})
-        while st["n"] <= i:
-            m = members[st["n"]]
-            st["seen"].add(m)
-            fm = perm_eval(self.f, m, fuel)
-            if fm not in st["seen"]:
-                st["escapes"] += 1
-                st["waiting"][fm] = st["waiting"].get(fm, 0) + 1
-            st["escapes"] -= st["waiting"].pop(m, 0)
-            st["n"] += 1
-            self._memo[m] = st["escapes"] != 0
-        return self._memo[x]
+        st = self._state.get(members[0])
+        if st is None:
+            st = self._state[members[0]] = [0, set(), set()]
+        _, seen, waiting = st
+        while st[0] <= i:
+            m = members[st[0]]
+            seen.add(m)
+            fm = self.f.fwd(m, fuel)
+            if fm not in seen:
+                waiting.add(fm)
+            waiting.discard(m)
+            st[0] += 1
+            memo[m] = bool(waiting)
+        return memo[x]
 
 
 class RhoFromNormal(RhoExpr):

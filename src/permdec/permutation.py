@@ -8,6 +8,7 @@ per-node member cache; caches are invisible to callers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import count
@@ -160,10 +161,11 @@ class DeltaSucc(PermExpr):
 class Rule:
     """One branch of a PiecewiseResidue map.
 
-    modulus == 0 selects the single point x == residue; otherwise the branch
-    matches x % modulus == residue.  kind is "affine" (a*x + b, a != 0) or
-    "const" (value b, with modulus == 0 only); the constructor refuses
-    anything else.
+    modulus == 0 selects the single point x == residue, a natural; otherwise
+    the branch matches x % modulus == residue, with 0 <= residue < modulus.
+    kind is "affine" (a*x + b, a != 0) or "const" (value b, with
+    modulus == 0 only); the constructor refuses anything else, so every
+    rule matches some natural.
     """
 
     modulus: int
@@ -179,6 +181,12 @@ class Rule:
             raise ValueError("const branch over a residue class is not injective")
         if self.kind == "affine" and self.a == 0:
             raise ValueError("affine branch needs a != 0")
+        if self.modulus < 0:
+            raise ValueError(f"rule modulus must be >= 0, got {self.modulus}")
+        if self.modulus and not 0 <= self.residue < self.modulus:
+            raise ValueError(f"residue {self.residue} is no class mod {self.modulus}")
+        if not self.modulus and self.residue < 0:
+            raise ValueError(f"point rule at {self.residue}, not a natural")
 
     def matches(self, x: int) -> bool:
         if self.modulus == 0:
@@ -194,8 +202,28 @@ class Rule:
 class PiecewiseResidue(PermExpr):
     """First-matching-rule piecewise map, identity where nothing matches.
 
-    Bijectivity on the whole of N is the caller's obligation; construction
-    checks it on a finite window and rejects visible violations.
+    Construction decides exactly whether the map is a bijection of N, and
+    raises ValueError where it is not.  Let L be the lcm of the nonzero
+    moduli and P the points of the point rules.  Off P, x is mapped by the
+    first class rule matching x mod L, or fixed.  Under a*x + b the images
+    of a class mod L have density 1/(|a| L), so the classes cover N only if
+    every class is translated, x -> x + b_c (a = 1); with a < 0 the images
+    also fall below 0.  The classes c + b_c must then be a permutation of
+    Z/L, which makes T(x) = x + b_(x mod L) a bijection of Z.  The rest is
+    finite: T keeps each natural off P natural (only x below max -b_c can
+    fail), and the rules on P map P one-to-one onto the naturals that T
+    leaves unhit, N minus T(N \\ P): the y below max b_c whose T-preimage is
+    negative, and the natural T-images of P.  These maps are the
+    residue-class-wise affine (RCWA) permutations of S. Kohl, "Algorithms
+    for a class of infinite permutation groups", J. Symb. Comput. 43 (2008).
+
+    The decision builds the tables fwd and bwd read: the shift of each
+    class, the shift by which each class is reached, and the images of P
+    both ways.  The L classes are charged to a Fuel of the default budget
+    before they are listed, so an lcm above the budget fails at once with
+    FuelExhausted; the rest of the work grows with the rules and P only,
+    however far the shifts reach.  check_window is kept as a field of the
+    saved form only; nothing reads it.
     """
 
     kind = "piecewise_residue"
@@ -203,46 +231,72 @@ class PiecewiseResidue(PermExpr):
     def __init__(self, rules: list[Rule], check_window: int = 10_000):
         self.rules = list(rules)
         self.check_window = check_window
-        if check_window:
-            self._check(check_window)
+        L = self._L = math.lcm(*(r.modulus for r in self.rules if r.modulus))
+        Fuel().spend_many(L, f"{self.kind}: the lcm of the moduli is {L}")
+        first: list[Optional[Rule]] = [None] * L  # first class rule of each class
+        for r in reversed(self.rules):
+            if r.modulus:
+                first[r.residue::r.modulus] = [r] * (L // r.modulus)
+        for c, r in enumerate(first):
+            if r is not None and r.a != 1:
+                raise ValueError(f"the class {c} mod {L} is mapped with a = {r.a}: "
+                                 f"only a translation (a = 1) of every class can cover N")
+        shift = self._shift = [0 if r is None else r.b for r in first]
+        ishift: list[Optional[int]] = [None] * L  # the shift that reaches each class
+        for c, b in enumerate(shift):
+            d = (c + b) % L
+            if ishift[d] is not None:
+                raise ValueError(f"not injective: the classes {(d - ishift[d]) % L} and {c} "
+                                 f"mod {L} are both shifted onto the class {d}")
+            ishift[d] = b
+        self._ishift = ishift
 
-    def _check(self, window: int) -> None:
-        fuel = Fuel()
-        seen: dict[int, int] = {}
-        for x in range(window):
-            y = self.fwd(x, fuel)
+        points = self._points = {r.residue: self._first_match(r.residue)
+                                 for r in self.rules if r.modulus == 0}
+        # T sends x below 0 only where x < -b: each such x must be a point,
+        # so this loop stops within len(points) + 1 rounds
+        for c, b in enumerate(shift):
+            for x in range(c, -b, L):
+                if x not in points:
+                    raise ValueError(f"rule maps {x} below zero")
+        # N minus T(N \ P): the y < b in each class reached by b, whose
+        # preimage is negative, and the natural T-images of P; counted
+        # before they are listed, so that a far shift is refused at once
+        lost = sum(len(range(d, b, L)) for d, b in enumerate(ishift))
+        if lost > len(points):
+            raise ValueError(f"not surjective: no class reaches {lost} of the naturals, "
+                             f"and only {len(points)} points are left to map onto them")
+        unhit = {y for d, b in enumerate(ishift) for y in range(d, b, L)}
+        unhit.update(t for p in points if (t := p + shift[p % L]) >= 0)
+        self._ipoints: dict[int, int] = {}
+        for p, y in points.items():
             if y < 0:
-                raise ValueError(f"rule maps {x} below zero")
-            if y in seen:
-                raise ValueError(f"not injective: {seen[y]} and {x} both map to {y}")
-            seen[y] = x
-            if self.bwd(y, fuel) != x:
-                raise ValueError(f"inverse mismatch at {x}")
+                raise ValueError(f"rule maps {p} below zero")
+            if y in self._ipoints:
+                raise ValueError(f"not injective: {self._ipoints[y]} and {p} both map to {y}")
+            if y not in unhit:
+                raise ValueError(f"not injective: {y - ishift[y % L]} and {p} "
+                                 f"both map to {y}")
+            self._ipoints[y] = p
+        if len(self._ipoints) < len(unhit):
+            y = min(unhit - self._ipoints.keys())
+            raise ValueError(f"not surjective: nothing maps to {y}")
 
-    def fwd(self, x: int, fuel: Fuel) -> int:
+    def _first_match(self, x: int) -> int:
         for r in self.rules:
             if r.matches(x):
                 return r.image(x)
         return x
 
+    def fwd(self, x: int, fuel: Fuel) -> int:
+        if x in self._points:
+            return self._points[x]
+        return x + self._shift[x % self._L]
+
     def bwd(self, y: int, fuel: Fuel) -> int:
-        candidates = []
-        for r in self.rules:
-            if r.kind == "const":
-                if y == r.b:
-                    candidates.append(r.residue)
-            else:
-                num = y - r.b
-                if num % r.a == 0:
-                    x = num // r.a
-                    if x >= 0 and r.matches(x):
-                        candidates.append(x)
-        candidates.append(y)  # identity fallback
-        hits = [x for x in dict.fromkeys(candidates) if self.fwd(x, fuel) == y]
-        if len(hits) != 1:
-            raise PreconditionViolation(
-                f"piecewise map is not a bijection at {y} (preimages: {hits})")
-        return hits[0]
+        if y in self._ipoints:
+            return self._ipoints[y]
+        return y - self._ishift[y % self._L]
 
 
 class Compose(PermExpr):
@@ -388,7 +442,16 @@ class FromRho(PermExpr):
         return members[t - 1]
 
     def _cycle_min(self, x: int, fuel: Fuel) -> int:
-        return self._cache.least_rep(x, fuel)
+        # where the relation's hook says x's block is {lr} alone, a rho that
+        # claims a larger member there makes no permutation: fwd(lr) would
+        # look for that member forever
+        lr = self._cache.least_rep(x, fuel)
+        nxt = self._cache._next
+        if nxt is not None and nxt(lr, fuel) is None and self._rho(lr, fuel):
+            raise PreconditionViolation(
+                f"{self.kind}: rho claims a member above {lr}, which is alone "
+                f"in its {self.eq.kind} block")
+        return lr
 
 
 class SeminormalFromRho(PermExpr):

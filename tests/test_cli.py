@@ -149,9 +149,13 @@ def test_malformed_cycle_eq_strategy_exit_code(tmp_path, strategy):
      "rho": {"kind": "rho_const", "value": "false"}},
     {"kind": "piecewise_residue", "rules": [
         {"modulus": "2", "residue": "0", "kind": "bogus", "a": "1", "b": "0"}]},
+    # 20000 -> 20001, where 20001 stays: no bijection, though a check on
+    # the first 10000 points sees none
+    {"kind": "piecewise_residue", "check_window": "10000", "rules": [
+        {"modulus": "0", "residue": "20000", "kind": "const", "a": "0", "b": "20001"}]},
 ], ids=["from_rho_cardinality_rho", "from_rho_coproduct_rho",
         "halting_family_bogus_variant", "rho_const_string_value",
-        "piecewise_residue_bogus_rule_kind"])
+        "piecewise_residue_bogus_rule_kind", "piecewise_residue_far_collision"])
 def test_node_refused_by_its_constructor_exit_code(tmp_path, text):
     bad = tmp_path / "perm.json"
     bad.write_text(json.dumps(text))
@@ -184,3 +188,13 @@ def test_malformed_input_exit_code(fixtures, tmp_path):
 def test_fuel_exhaustion_exit_code(fixtures):
     r = run_cli("decide", fixtures["cycles"], "0", "200", "--fuel", "5")
     assert r.returncode == 3
+
+
+def test_piecewise_lcm_above_the_budget_exit_code(tmp_path):
+    big = tmp_path / "perm.json"
+    big.write_text(json.dumps({"kind": "piecewise_residue", "rules": [
+        {"modulus": str(m), "residue": "0", "kind": "affine", "a": "1", "b": "0"}
+        for m in (1009, 1013, 1019)]}))
+    r = run_cli("eval", str(big), "2")
+    assert r.returncode == 3, r.stderr
+    assert "the lcm of the moduli is 1041537223" in r.stderr and r.stdout == ""

@@ -109,6 +109,19 @@ def test_unbounded_fuel_never_runs_out():
     assert f.used == 1000
 
 
+def test_spend_many_takes_all_or_nothing():
+    f = Fuel(10)
+    f.spend_many(7, "seven")
+    with pytest.raises(FuelExhausted, match="four"):
+        f.spend_many(4, "four")
+    assert f.used == 7
+    f.spend_many(3, "three")
+    assert f.remaining == 0
+    g = Fuel.unbounded()
+    g.spend_many(10**12, "many")
+    assert g.used == 10**12
+
+
 # ---------------------------------------------------------------------------
 # unpair on big codes: the multiplication-only root and its correction loop
 

@@ -8,11 +8,13 @@ from permdec import (
     FinitaryProduct,
     FromRho,
     Fuel,
+    FuelExhausted,
     Identity,
     Modulo,
     OpaqueEq,
     PreconditionViolation,
     SeminormalFromRho,
+    Singletons,
     TableThenIdentity,
     Transposition,
     even_zigzag,
@@ -182,6 +184,26 @@ def test_the_cycle_min_hook_walks_no_orbit(monkeypatch):
     assert nf.normal_min(FromRho(Modulo(3), nf.RhoConst(True)), 3000) == 0
     assert nf.normal_min(SeminormalFromRho(Modulo(3), nf.RhoCardConst(0)), 3001) == 1
     assert steps == []
+
+
+def test_the_cycle_min_hook_refuses_a_rho_claiming_a_missing_member():
+    # every block of Singletons is one point, so "a larger member" is false
+    # everywhere; the orbit walk would look for that member until its fuel
+    # ran out, and the hook answers no least element in its place
+    over = FromRho(Singletons(), nf.RhoConst(True))
+    with pytest.raises(PreconditionViolation, match="above 0"):
+        nf.normal_min(over, 0)
+    with pytest.raises(FuelExhausted):
+        nf._normal_min_search(FromRho(Singletons(), nf.RhoConst(True)), 0, Fuel(1000))
+    # the hook checks the least member only: {2, 12} has a member above 2,
+    # so the claim at 12 is left to fwd; 40 is alone in its fibre
+    fib = FromRho(FibersOf(TABLE_LABEL), lambda x: x in (2, 12, 40))
+    assert nf.normal_min(fib, 12) == 2
+    with pytest.raises(PreconditionViolation, match="above 40"):
+        nf.normal_min(fib, 40)
+    # a truthful rho, and a relation whose hook never ends a block
+    assert nf.normal_min(FromRho(Singletons(), nf.RhoConst(False)), 7) == 7
+    assert nf.normal_min(FromRho(Modulo(3), nf.RhoConst(True)), 7) == 1
 
 
 def test_decider_from_normal():

@@ -1,5 +1,9 @@
+import dataclasses
+import math
+import time
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from permdec import (
     Compose,
@@ -98,15 +102,160 @@ def test_eta_roundtrip_of_long_products(n):
 
 
 def test_piecewise_rejects_visible_non_bijection():
-    with pytest.raises((ValueError, PreconditionViolation)):
+    with pytest.raises(ValueError):
         # evens shift onto the odds, colliding with the identity default
-        p = PiecewiseResidue([Rule(2, 0, "affine", 1, 1)])
-        perm_eval(p, 0)
+        PiecewiseResidue([Rule(2, 0, "affine", 1, 1)])
 
 
 def test_piecewise_const_needs_point_match():
     with pytest.raises(ValueError):
         PiecewiseResidue([Rule(2, 0, "const", 0, 7)])
+
+
+@pytest.mark.parametrize("modulus, residue", [(-2, 0), (3, 3), (3, -1), (0, -1)])
+def test_rule_refuses_a_branch_that_can_never_match(modulus, residue):
+    with pytest.raises(ValueError):
+        Rule(modulus, residue, "affine", 1, 0)
+
+
+@pytest.mark.parametrize("rules, why", [
+    # 20000 -> 20001, and 20001 fixed: a point far past a 10000-point window
+    ([Rule(0, 20_000, "const", 0, 20_001)], "20001 and 20000 both map to 20001"),
+    # a 3-cycle on 20000..20002 with one arrow bent back
+    ([Rule(0, 20_000, "const", 0, 20_001), Rule(0, 20_001, "const", 0, 20_000),
+      Rule(0, 20_002, "const", 0, 20_000)], "20001 and 20002 both map to 20000"),
+    ([Rule(2, 0, "affine", 2, 0), Rule(2, 1, "affine", 2, 1)], "a = 2"),
+    ([Rule(1, 0, "affine", 1, 1)], "no class reaches 1 of the naturals"),
+    # a far shift: the naturals it leaves unhit are counted, not listed
+    ([Rule(1, 0, "affine", 1, 10**15)], "no class reaches 1000000000000000 of"),
+    ([Rule(0, 1, "const", 0, 0), Rule(1, 0, "affine", 1, 1)], "nothing maps to 2"),
+    ([Rule(1, 0, "affine", 1, -1)], "0 below zero"),
+    ([Rule(0, 3, "affine", -1, 0)], "3 below zero"),
+    # the predecessor with 0 and 5 both sent to 4: as many points left
+    # unhit (4) as there are points once the collision is counted once
+    ([Rule(0, 0, "const", 0, 4), Rule(0, 5, "const", 0, 4), Rule(1, 0, "affine", 1, -1)],
+     "0 and 5 both map to 4"),
+], ids=["far_point", "far_swap_broken", "doubling", "successor", "far_shifts",
+        "successor_with_a_point", "predecessor",
+        "negative_point_image", "two_points_one_image"])
+def test_piecewise_decision_is_exact(rules, why):
+    with pytest.raises(ValueError, match=why):
+        PiecewiseResidue(rules)
+
+
+def test_piecewise_accepts_far_points_and_evaluates_both_ways():
+    # a swap of two odd points far past 10000, beside the even zig-zag
+    far = 10**12 + 1
+    p = PiecewiseResidue([Rule(0, far, "const", 0, far + 6),
+                          Rule(0, far + 6, "const", 0, far)] + even_zigzag().rules)
+    assert perm_eval(p, far) == far + 6 and perm_eval(p, far + 6) == far
+    assert perm_eval_inv(p, far) == far + 6
+    assert perm_eval(p, far - 1) == far + 3
+    assert perm_eval(p, 2) == 0 and perm_eval_inv(p, 0) == 2
+    assert window_bijection_check(p, 500)
+
+
+def test_piecewise_lcm_above_the_budget_fails_at_once():
+    # 1009 * 1013 * 1019 classes: far above the default budget of 10**7
+    rules = [Rule(m, 0, "affine", 1, 0) for m in (1009, 1013, 1019)]
+    start = time.perf_counter()
+    with pytest.raises(FuelExhausted, match="lcm of the moduli is 1041537223"):
+        PiecewiseResidue(rules)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_piecewise_check_window_is_kept_but_not_read():
+    rules = [Rule(2, 0, "affine", 1, 1)]   # no bijection
+    for window in (0, 1, 10_000):
+        with pytest.raises(ValueError):
+            PiecewiseResidue(rules, check_window=window)
+    assert PiecewiseResidue(even_zigzag().rules, check_window=0).check_window == 0
+
+
+def _first_match(rules):
+    def f(x):
+        for r in rules:
+            if r.matches(x):
+                return r.image(x)
+        return x
+    return f
+
+
+@st.composite
+def _rule_lists(draw):
+    """A permutation of the classes mod m with shifts, the points it sends
+    below 0 paired with the points it leaves unhit, then point swaps; some
+    lists mutated after that.  The shifts sum to m times the number of
+    points left unhit less the number sent below 0, so a drift of 0 lets
+    the pairing close, and a drift of 1 or -1 leaves one point unpaired."""
+    m = draw(st.integers(1, 6))
+    target = draw(st.permutations(range(m)))
+    laps = draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))
+    laps[-1] -= sum(laps) - draw(st.sampled_from([0, 0, 0, 1, -1]))
+    shift = [target[c] - c + m * k for c, k in enumerate(laps)]
+    ishift = {(c + b) % m: b for c, b in enumerate(shift)}
+    reach = max(map(abs, shift))
+    below = [x for x in range(reach) if x + shift[x % m] < 0]
+    unhit = [y for y in range(reach) if y - ishift[y % m] < 0]
+    rules = [Rule(m, c, "affine", 1, b) for c, b in enumerate(shift)]
+    rules = [Rule(0, x, "const", 0, y) for x, y in zip(below, unhit)] + rules
+    for _ in range(draw(st.integers(0, 3))):
+        p, q = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+        f = _first_match(rules)
+        rules = [Rule(0, p, "const", 0, f(q)),
+                 Rule(0, q, "affine", 1, f(p) - q)] + rules
+    for _ in range(draw(st.integers(0, 2))):
+        if not rules:
+            break
+        i = draw(st.integers(0, len(rules) - 1))
+        r = rules[i]
+        how = draw(st.sampled_from(["shift", "scale", "drop", "insert", "alias"]))
+        if how == "shift":
+            rules[i] = dataclasses.replace(r, b=r.b + draw(st.sampled_from([-m, -1, 1, m])))
+        elif how == "scale" and r.kind == "affine":
+            rules[i] = dataclasses.replace(r, a=draw(st.sampled_from([-1, 2, 3])))
+        elif how == "drop":
+            del rules[i]
+        elif how == "insert":
+            mod = draw(st.integers(0, 6))
+            res = draw(st.integers(0, mod - 1 if mod else 40))
+            # at the end too, where the rules before it may shadow it
+            rules.insert(draw(st.integers(i, len(rules))),
+                         Rule(mod, res, "affine", 1, draw(st.integers(-6, 6)))
+                         if mod else Rule(0, res, "const", 0, draw(st.integers(0, 40))))
+        elif how == "alias":
+            # one more point sent where a point rule already sends its point
+            q = draw(st.sampled_from([r.residue for r in rules if not r.modulus] or [0]))
+            rules.insert(0, Rule(0, draw(st.integers(0, 40)), "const", 0,
+                                 _first_match(rules)(q)))
+    return rules
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rule_lists())
+def test_piecewise_decision_agrees_with_brute_force(rules):
+    f = _first_match(rules)
+    L = math.lcm(*(r.modulus for r in rules if r.modulus))
+    P = {r.residue for r in rules if r.modulus == 0}
+    B = max((abs(r.b) for r in rules), default=0)
+    top = max([0, *P, *map(f, P)])
+    # a refused map breaks within these windows: a class under a != 1
+    # leaves one of the first Y naturals unhit, and every preimage of
+    # those lies below W; past P, the translations repeat with period L
+    Y = top + 1 + 4 * L * (len(P) + L + B + 1)
+    W = top + Y + B + 1
+    images = [f(x) for x in range(W)]
+    broken = (min(images) < 0 or len(set(images)) < W
+              or not set(range(Y)) <= set(images))
+    try:
+        p = PiecewiseResidue(rules)
+    except ValueError:
+        assert broken
+        return
+    assert not broken
+    fuel = Fuel()
+    assert [p.fwd(x, fuel) for x in range(W)] == images
+    assert window_bijection_check(p, W)
 
 
 def test_compose_and_inverse():

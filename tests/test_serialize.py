@@ -146,6 +146,19 @@ def test_golden_bytes(entry):
     assert dumps(loads(entry.get("load", entry["dumps"]))) == entry["dumps"]
 
 
+@pytest.mark.parametrize("window", [0, 500, 10_000, None])
+def test_piecewise_check_window_is_saved_byte_identically(window):
+    # the field is no longer read: the bijection check is exact at any value
+    d = to_jsonable(even_zigzag())
+    if window is None:
+        del d["check_window"]
+    else:
+        d["check_window"] = str(window)
+    text = dumps(from_jsonable(d))
+    assert json.loads(text)["check_window"] == str(10_000 if window is None else window)
+    assert dumps(loads(text)) == text
+
+
 def test_golden_file_covers_every_kind():
     assert ({cls.kind for cls in serialize._FIELDS}
             == {e["name"] for e in GOLDEN if "load" not in e})
