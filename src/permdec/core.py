@@ -13,6 +13,25 @@ Arithmetic, 2010, sections 1.5 and 3.5), and w is then made exact by a
 correction loop on z - w(w+1)/2, one linear step per unit of error.  The
 answer rests on that loop alone; the approximation only decides its speed,
 and it is off by at most one in practice.
+
+Sequence codes nest pairs to the right, z = pair(x0, pair(x1, y1)) with
+x0 and x1 small, and unpack3 reads two levels at once above the gate
+without the full-width root.  With F(w) = w(w+1)/2, V1 = x1 + y1,
+g = F(V1) and D = x0 + x1, pair(x1, y1) = g + x1, so
+
+    z = F(g + D) + x0 = F(g) + D*g + F(D) + x0.
+
+V1 has a quarter of z's bits and is F's root of V0 = g + D, which has
+half, while D is small; so a root of the top half of z pins V0 to well
+under V1, and a root of that pins V1: two roots of half width.
+R = z - F(g) = D*g + F(D) + x0 then gives D as R // g, x0 as
+R - D*g - F(D) and x1 as D - x0.  (R // g is D + 1 only when
+x0 >= g - F(D), far above D, where x1 would be negative anyway.)  The
+answer rests on the checks x0 >= 0 and 0 <= x1 <= V1 alone: with them
+y1 = V1 - x1 >= 0 and x0 <= g + D, the identity gives
+pair(x0, pair(x1, y1)) == z, and pairing is a bijection.  When a check
+fails, or D has more than 64 bits, unpack3 falls back to two
+plain unpairs.
 """
 
 from __future__ import annotations
@@ -181,10 +200,88 @@ def pack3(x: int, y: int, z: int) -> int:
     return pair(x, pair(y, z))
 
 
+# bits past its top half that the two-level step reads of a code
+_TOP_EXTRA_BITS = 128
+# bits of x0 + x1 past which the two-level step leaves a code to unpair
+_SMALL_SUM_BITS = 64
+
+
 def unpack3(n: int) -> tuple[int, int, int]:
+    """(x0, x1, y1) with n = pair(x0, pair(x1, y1)): the first two levels of
+    an unpairing chain.  Above _UNPAIR_GATE it tries the two-level step
+    first, then two plain unpairs."""
+    if n >= _UNPAIR_GATE:
+        found = _unpack3_from_top(n)
+        if found is not None:
+            return found
     x, rest = unpair(n)
     y, z = unpair(rest)
     return x, y, z
+
+
+def _unpack3_from_top(z: int) -> Optional[tuple[int, int, int]]:
+    """unpack3(z) by the two-level step of the module docstring, or None
+    when x0 + x1 is not small or a check fails."""
+    b = z.bit_length()
+    k = (b - b // 2 - _TOP_EXTRA_BITS) // 2
+    # (8z + 1)**0.5 < (8(z >> 2k) + 8)**0.5 * 2**k, so with a root within a
+    # unit, hi >= V0, and hi - V0 < 2**(k + 1), far below V1's ~2**(b/4)
+    hi = (_root(8 * (z >> 2 * k) + 8, False)[0] + 2) << (k - 1)
+    x, y = unpair(hi)
+    if x >> (k + 2):
+        # x = hi - g = D + (hi - V0), below 2**(k + 2) for a small D: this
+        # D is not small, so spare the squaring
+        return None
+    v1 = x + y
+    g = hi - x
+    r = z - (g * g + g) // 2
+    e = g.bit_length()
+    if r < 0 or r >> (e + _SMALL_SUM_BITS):
+        return None
+    d, r = divmod(r, g)
+    x0 = r - d * (d + 1) // 2
+    x1 = d - x0
+    if x0 < 0 or x1 < 0 or x1 > v1:
+        return None
+    return x0, x1, v1 - x1
+
+
+def unpair_sequence(z: int) -> tuple[int, list[int]]:
+    """(n, codes) for z = pair(n, pair(x_1, pair(x_2, ... pair(x_{n-1},
+    x_n)))), with the run of zeros before x_n left out.  Once the rest is 0
+    or 1 it is a fixed point of unpair's second half (unpair(0) is (0, 0),
+    unpair(1) is (0, 1)), so every code before the last is 0 and the last is
+    the rest itself.  codes holds the codes read before that point, then
+    x_n; the n - len(codes) codes left out are zeros just before x_n.  Each
+    step about halves the bit length of the rest, so the walk is short
+    however large n is.
+
+    Above _UNPAIR_GATE the walk reads two levels per step while the
+    two-level step succeeds; after the first miss (codes that are not
+    small, as in a random code) it only unpairs."""
+    two = _unpack3_from_top(z) if z >= _UNPAIR_GATE else None
+    if two is None:
+        n, z = unpair(z)
+        out = []
+    else:
+        n, x, z = two
+        if n < 2:
+            return n, [pair(x, z)] if n else []
+        out = [x]
+    left = n - 1 - len(out)
+    while two is not None and left > 1 and z >= _UNPAIR_GATE:
+        two = _unpack3_from_top(z)
+        if two is not None:
+            x0, x1, z = two
+            out += (x0, x1)
+            left -= 2
+    while left > 0 and z > 1:
+        x, z = unpair(z)
+        out.append(x)
+        left -= 1
+    if n > 0:
+        out.append(z)
+    return n, out
 
 
 def mu_search(pred: Callable[[int], bool], fuel: Fuel) -> SearchOutcome:

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import Fuel, pair, unpair
+from .core import Fuel, pair, unpair, unpair_sequence
 
 INC = "INC"
 DECJZ = "DECJZ"
@@ -130,16 +130,8 @@ def encode_program(p: ToyProgram) -> int:
 
 
 def decode_program(z: int) -> ToyProgram:
-    """Decode without reading the INC 0 run: once the payload is 0 or 1,
-    unpair(payload) == (0, payload), so the remaining codes are 0 up to
-    the last one, which is the payload itself."""
-    n, payload = unpair(z)
-    raw: list[int] = []
-    while len(raw) < n - 1 and payload > 1:
-        c, payload = unpair(payload)
-        raw.append(c)
-    if n > 0:
-        raw.append(payload)
+    """Decode without reading the INC 0 run, which unpair_sequence leaves out."""
+    n, raw = unpair_sequence(z)
     return ToyProgram(tuple(_decode_instr(c, n) for c in raw), n - len(raw))
 
 

@@ -21,6 +21,7 @@ from .core import (
     delta_inv,
     pair,
     unpair,
+    unpair_sequence,
 )
 from .equivalence import BlockCache, EqExpr, FamilyExpr
 
@@ -615,24 +616,18 @@ def _encode_tuple(xs: list[int]) -> int:
     return acc
 
 
-def _decode_tuple(z: int, n: int) -> list[int]:
-    out = []
-    for _ in range(max(n - 1, 0)):
-        v, z = unpair(z)
-        out.append(v)
-    if n > 0:
-        out.append(z)
-    return out
-
-
 def eta_encode(ts: list[tuple[int, int]]) -> int:
     codes = [pair(a, b) for a, b in ts]
     return pair(len(codes), _encode_tuple(codes))
 
 
-def eta_decode(z: int) -> FinitaryProduct:
-    n, payload = unpair(z)
-    return FinitaryProduct([unpair(c) for c in _decode_tuple(payload, n)])
+def eta_decode(z: int, fuel: Optional[Fuel] = None) -> FinitaryProduct:
+    """The finitary product coded by z; its length is charged to the fuel
+    before any transposition is listed."""
+    n, codes = unpair_sequence(z)
+    (fuel or Fuel()).spend_many(n, "eta length")
+    codes[-1:-1] = [0] * (n - len(codes))
+    return FinitaryProduct([unpair(c) for c in codes])
 
 
 # ---------------------------------------------------------------------------

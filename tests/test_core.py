@@ -1,9 +1,10 @@
 import math
 import random
+import time
 import types
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from permdec import core, machine
 from permdec.permutation import eta_decode, eta_encode
@@ -19,6 +20,7 @@ from permdec.core import (
     pair,
     unpack3,
     unpair,
+    unpair_sequence,
     xi_search,
 )
 
@@ -132,6 +134,11 @@ def _ref_unpair(z):
     return x, w - x
 
 
+def _ref_unpack3(z):
+    x0, y0 = _ref_unpair(z)
+    return (x0, *_ref_unpair(y0))
+
+
 def _tri(w):
     return w * (w + 1) // 2
 
@@ -166,11 +173,17 @@ def test_unpair_at_the_size_gate():
     for z in (g - 1, g, g + 1):
         assert unpair(z) == _ref_unpair(z)
         assert pair(*unpair(z)) == z
+        assert unpack3(z) == _ref_unpack3(z)
+
+
+def _eta_ts(rng, n, top=89):
+    return [(a, top - a) for a in (rng.randrange(top + 1) for _ in range(n))]
 
 
 @pytest.mark.parametrize("error", [-7, -2, -1, 1, 2, 7])
 def test_unpair_is_exact_from_a_rough_root(monkeypatch, error):
-    # exactness rests on the correction loop alone, not on the root
+    # exactness rests on the correction loop and the two-level step's range
+    # checks alone, not on the root; a miss falls back to two unpairs
     root = core._root
 
     def rough(n, with_reciprocal):
@@ -184,6 +197,107 @@ def test_unpair_is_exact_from_a_rough_root(monkeypatch, error):
     for z in (t - 1, t, t + 1, t + w - 1, t + w, t + w + 1, rng.getrandbits(40_001)):
         assert pair(*unpair(z)) == z
         assert unpair(z) == _ref_unpair(z)
+        assert unpack3(z) == _ref_unpack3(z)
+    v1 = rng.getrandbits(20_000) | 1 << 19_999
+    for x0, x1 in ((0, 0), (0, v1), (1, 0), (4000, 4093), (1 << 64, 1 << 64)):
+        z = pack3(x0, x1, v1 - x1)
+        assert unpack3(z) == (x0, x1, v1 - x1)
+    ts = _eta_ts(rng, 14)
+    assert eta_decode(eta_encode(ts)).transpositions == ts
+
+
+@st.composite
+def _two_level_codes(draw):
+    """pack3 codes above the gate: x0 and x1 up to 2**70, on both sides of
+    the step's 64-bit bound on x0 + x1, at the ends of their ranges
+    (x0 in {0, V0}, x1 in {0, V1}), and y1 up to 60,000 bits."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    big = rng.getrandbits(draw(st.integers(16_000, 60_000)))
+    small = st.one_of(st.integers(0, 2**70), st.integers(0, 4096),
+                      st.sampled_from([0, 2**64 - 1, 2**64]))
+    x0, x1 = draw(small), draw(small)
+    ends = draw(st.sampled_from(["", "x1 = V1", "x0 = V0"]))
+    if ends == "x1 = V1":
+        return x0, big, 0
+    if ends == "x0 = V0":
+        # x0 just above a triangular number, so the step reaches its checks
+        return pair(x0, big), 0, 0
+    return x0, x1, big
+
+
+@settings(max_examples=60, deadline=None)
+@given(_two_level_codes())
+def test_the_two_level_step_matches_two_unpairs(code):
+    z = pack3(*code)
+    assert unpack3(z) == _ref_unpack3(z) == code
+
+
+def test_the_two_level_step_takes_sequence_codes():
+    # the step is what makes eta decoding fast, so it must not fall back on
+    # the codes it is for: small x0 and x1 over a large rest
+    rng = random.Random(11)
+    for bits in (16_000, 50_000, 200_000):
+        y1 = rng.getrandbits(bits) | 1 << (bits - 1)
+        for x0, x1 in ((0, 0), (4094, 3916), (2**63, 2**63), (rng.getrandbits(60), 0)):
+            assert core._unpack3_from_top(pack3(x0, x1, y1)) == (x0, x1, y1)
+    for code in ((2**66, 5, y1), (rng.getrandbits(5000), 5, y1), (pair(5, y1), 0, 0)):
+        assert core._unpack3_from_top(pack3(*code)) is None
+        assert unpack3(pack3(*code)) == code
+
+
+def _ref_sequence(z):
+    """unpair_sequence read one plain unpair at a time."""
+    n, payload = _ref_unpair(z)
+    raw = []
+    while len(raw) < n - 1 and payload > 1:
+        c, payload = _ref_unpair(payload)
+        raw.append(c)
+    return n, (raw + [payload] if n > 0 else [])
+
+
+def _chain(xs):
+    acc = xs[-1] if xs else 0
+    for v in reversed(xs[:-1]):
+        acc = pair(v, acc)
+    return acc
+
+
+def test_unpair_sequence_matches_the_plain_walk():
+    # random codes, chains of small codes with and without a zero run, a
+    # length far past the listed codes, and lengths 0 to 3 over large rests
+    rng = random.Random(5)
+    codes = [rng.getrandbits(rng.choice((8, 200, 20_000, 70_000))) for _ in range(20)]
+    for n in (0, 1, 2, 3, 5, 6, 14, 15):
+        codes.append(pair(n, _chain([4000 + i for i in range(n)])))
+        codes.append(pair(n, _chain([rng.choice((0, 1, 2, 4094)) for _ in range(n)])))
+    codes.append(pair(10**6, _chain([4094] * 14)))
+    codes += [pair(n, rest) for n in (0, 1, 2, 3) for rest in
+              (0, 1, rng.getrandbits(40_000), pair(5, rng.getrandbits(40_000)))]
+    for z in codes:
+        assert unpair_sequence(z) == _ref_sequence(z)
+
+
+def test_eta_roundtrip_at_every_length_up_to_20():
+    # small transpositions keep a 20-long code under 3.3 million bits
+    rng = random.Random(20)
+    for n in range(21):
+        # random ones, codes of 1 only, and a run of code 0 at the end
+        zeros = _eta_ts(rng, n // 2, 3) + [(0, 0)] * (n - n // 2)
+        for ts in (_eta_ts(rng, n, 3), [(0, 1)] * n, zeros):
+            assert eta_decode(eta_encode(ts)).transpositions == ts, (n, ts)
+
+
+def test_eta_decode_charges_its_length_to_the_fuel():
+    with pytest.raises(FuelExhausted, match="eta length"):
+        eta_decode(pair(5, 0), Fuel(4))
+    f = Fuel(5)
+    assert eta_decode(pair(5, 0), f).transpositions == [(0, 0)] * 5
+    assert f.used == 5
+    # a 60-bit code that would list 10**12 transpositions fails at once
+    t0 = time.perf_counter()
+    with pytest.raises(FuelExhausted, match="eta length"):
+        eta_decode(pair(10**12, 0))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_the_approximate_root_is_off_by_at_most_one():
