@@ -312,11 +312,13 @@ class CycleEqOf(EqExpr):
             raise ValueError(f"unknown strategy {strategy!r}")
         if strategy == "attached" and not isinstance(witness, CycleWitness):
             raise TypeError("strategy 'attached' needs a CycleWitness")
+        from .permutation import OrbitCache
         self.perm = perm
         self.strategy = strategy
         self.reps = list(reps) if reps else []
         self.witness = witness
         self._decider = None
+        self._orbits = OrbitCache(perm)  # the probe's view of perm's orbits
 
     def _get_witness(self):
         if self.witness is None:
@@ -350,16 +352,8 @@ class CycleEqOf(EqExpr):
     def _orbit_least(self, x: int, fuel: Fuel) -> Optional[int]:
         # the orbit is recorded only once it closes, so a probe cut short by
         # fuel leaves no partial block
-        fwd = self.perm.fwd
-        orbit = [x]
-        v = x
-        for _ in range(_PROBE_STEPS):
-            fuel.spend()
-            v = fwd(v, fuel)
-            if v == x:
-                return self._list_whole_block(orbit)
-            orbit.append(v)
-        return None
+        orbit = self._orbits.cycle(x, fuel, _PROBE_STEPS)
+        return None if orbit is None else self._list_whole_block(orbit)
 
 
 class ImageEq(EqExpr):

@@ -356,25 +356,16 @@ class SeminormalToNormal(PermExpr):
         self._orbits = OrbitCache(f)
         self._finite = seminormal_cf_decider(f)
 
-    def _cycle_sorted(self, x: int, fuel: Fuel) -> list[int]:
-        out = [x]
-        v = perm_eval(self.f, x, fuel)
-        while v != x:
-            fuel.spend()
-            out.append(v)
-            v = perm_eval(self.f, v, fuel)
-        return sorted(out)
-
     def fwd(self, x: int, fuel: Fuel) -> int:
         if not self._finite(x, fuel):
             return self.f.fwd(x, fuel)
-        members = self._cycle_sorted(x, fuel)
+        members = sorted(self._orbits.cycle(x, fuel))
         return members[normal_index(members.index(x), len(members), 1)]
 
     def bwd(self, x: int, fuel: Fuel) -> int:
         if not self._finite(x, fuel):
             return self.f.bwd(x, fuel)
-        members = self._cycle_sorted(x, fuel)
+        members = sorted(self._orbits.cycle(x, fuel))
         return members[normal_index(members.index(x), len(members), -1)]
 
 
@@ -420,12 +411,8 @@ def normality_report(f: PermExpr, window: int,
         if not (x <= perm_eval(f, x, fuel) and x <= perm_eval_inv(f, x, fuel)):
             continue
         # finite? walk forward looking for a return
-        members = [x]
-        v = perm_eval(f, x, fuel)
-        while v != x and len(members) <= cap:
-            members.append(v)
-            v = perm_eval(f, v, fuel)
-        if v == x:
+        members = orbits.cycle(x, fuel, cap + 1)
+        if members is not None:
             n = len(members)
             srt = sorted(members)
             if srt[0] != x:

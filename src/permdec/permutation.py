@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import count
+from itertools import count, islice
 from typing import Callable, Optional
 
 from .core import (
@@ -37,16 +37,27 @@ class PermExpr:
                              representative is the answer.
                              normalform.normal_min reads it first, and
                              searches the orbit only where it is missing.
+
+    A node keeps the memo of its own answers, ints only, as a relation keeps
+    its blocks (EqExpr._blocks): _orbit_lists, base -> its forward and
+    backward orbit listed so far.  OrbitCache is a view over it, as
+    BlockCache is over the blocks, so every consumer shares one walk.
     """
 
     kind = "perm"
     _cycle_min = None
+    _orbit_lists = None
 
     def fwd(self, x: int, fuel: Fuel) -> int:
         raise NotImplementedError
 
     def bwd(self, x: int, fuel: Fuel) -> int:
         raise NotImplementedError
+
+    def _orbit_state(self) -> dict:
+        if self._orbit_lists is None:
+            self._orbit_lists = {}
+        return self._orbit_lists
 
 
 def perm_eval(p: PermExpr, x: int, fuel: Optional[Fuel] = None) -> int:
@@ -62,6 +73,8 @@ def perm_eval_inv(p: PermExpr, x: int, fuel: Optional[Fuel] = None) -> int:
 
 
 def perm_power(p: PermExpr, x: int, k: int, fuel: Optional[Fuel] = None) -> int:
+    if x < 0:
+        raise ValueError("permutations act on naturals")
     f = fuel or Fuel()
     v = x
     if k >= 0:
@@ -536,11 +549,12 @@ class CoproductPerm(PermExpr):
 
 
 class OrbitCache:
-    """Incremental two-sided orbit walker for one permutation."""
+    """Incremental two-sided orbit walker: a view of the orbit lists a
+    permutation node keeps, ints only, shared by every view of that node."""
 
     def __init__(self, perm: PermExpr):
         self.perm = perm
-        self._orb: dict[int, tuple[list[int], list[int]]] = {}
+        self._orb = perm._orbit_state()
 
     def value(self, base: int, k: int, fuel: Optional[Fuel] = None) -> int:
         f = fuel or Fuel()
@@ -555,6 +569,16 @@ class OrbitCache:
         while len(bwd) <= -k:
             bwd.append(self.perm.bwd(bwd[-1], f))
         return bwd[-k]
+
+    def cycle(self, x: int, fuel: Fuel, limit: Optional[int] = None) -> Optional[list[int]]:
+        """x's forward orbit up to its return to x, as a fresh list, one
+        unit of fuel per step whether listed before or not; None when it
+        has not returned within limit steps."""
+        for k in islice(count(1), limit):
+            fuel.spend()
+            if self.value(x, k, fuel) == x:
+                return self._orb[x][0][:k]
+        return None
 
     def find(self, base: int, hit: Callable[[int], bool], fuel: Fuel,
              first: int = 0) -> int:

@@ -81,12 +81,7 @@ def _product_parts(sigma: dict[int, int], f: PermExpr, pi: Decider,
         for g in groups:
             first = g[0]
             if cf(first):
-                index, v = {}, first
-                while v not in index:
-                    fu.spend()
-                    index[v] = len(index)
-                    v = f.fwd(v, fu)
-                pos = index
+                pos = index = {v: i for i, v in enumerate(orbits.cycle(first, fu))}
             else:
                 index = None
                 pos = {s: orbits.find_k(first, s, fu) for s in g}
@@ -182,7 +177,7 @@ def cf_from_product_deciders(f: PermExpr, w: cyc.CycleWitness,
     exactly when multiplying by (x y0) fuses it with the cycle of y0.
     y0 = None asserts f has no infinite cycles at all."""
     if y0 is None:
-        return lambda x: True
+        return lambda x, fu=None: True
     pi = _as_decider(w)
 
     def cf(x: int, fu: Optional[Fuel] = None) -> bool:

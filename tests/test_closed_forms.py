@@ -31,6 +31,8 @@ from permdec import (
     Identity,
     Modulo,
     OpaqueEq,
+    OrbitCache,
+    PermExpr,
     PiXY,
     PreconditionViolation,
     RhoConst,
@@ -260,6 +262,47 @@ def test_a_closed_orbit_is_listed_whole_without_a_decide():
     assert fuel.used > _PROBE_STEPS and calls
 
 
+def _counting_steps(f):
+    steps = []
+    fwd = f.fwd
+    f.fwd = lambda x, fu: steps.append(x) or fwd(x, fu)
+    return f, steps
+
+
+def test_a_second_consumer_of_a_permutation_walks_nothing():
+    # the probe and the one-infinite decider view the node's one set of
+    # orbit lists: the decider walks no step the probe walked
+    f, steps = _counting_steps(Compose(even_zigzag(), FinitaryProduct([(1, 5), (5, 9), (7, 11)])))
+    points = [0, 1, 2, 3, 4, 5, 7, 9, 11]
+    probe = CycleEqOf(f, "one_infinite")._least_rep
+    # an even point's orbit stays open
+    assert [probe(x, Fuel()) for x in points] == [None, 1, None, 3, None, 1, 7, 1, 7]
+    assert steps
+    steps.clear()
+    decide = cyc.decider_one_infinite(f).payload
+    blocks = [{0, 2, 4}, {1, 5, 9}, {3}, {7, 11}]
+    for x in points:
+        for y in points:
+            assert decide(x, y) == any({x, y} <= b for b in blocks)
+    # a second probe walks nothing either, and still pays one unit per step
+    fuel = Fuel()
+    assert CycleEqOf(f, "one_infinite")._least_rep(9, fuel) == 1
+    assert fuel.used == 3
+    assert steps == []
+
+
+def test_the_orbit_walker_hands_out_copies():
+    # the probe's block is sorted in place when it is listed; the node's
+    # own forward list must keep the orbit order
+    f = FinitaryProduct([(5, 1), (1, 7), (7, 2), (2, 9)])
+    members = [1, 2, 5, 7, 9]
+    for x in members:
+        assert BlockCache(CycleEqOf(f, "one_infinite")).least_rep(x) == 1
+        orbits = OrbitCache(f)
+        for k in range(-10, 11):
+            assert orbits.value(x, k) == perm_power(f, x, k)
+
+
 def test_a_probe_cut_short_leaves_no_partial_block():
     eq = CycleEqOf(PROBED, "one_infinite")
     fuel = Fuel(2)
@@ -324,34 +367,49 @@ def _cycle_min_table(fp):
 
 
 FIN = FinitaryProduct([(0, 1), (1, 2), (5, 9), (7, 11)])
-# (relation, a permutation whose cycle partition it is)
+
+
+def _zigzag_cycles():
+    f = even_zigzag()
+    return CycleEqOf(f, "one_infinite"), f
+
+
+# (relation, a permutation whose cycle partition it is), both built fresh:
+# a module constant would keep the permutation alive
 SHARED = [
-    ("modulo", lambda: (Modulo(3), NORMAL)),
-    ("table", lambda: (FibersOf(TableThenIdentity(_cycle_min_table(FIN))), FIN)),
-    ("one_infinite", lambda: (CycleEqOf(ZIG, "one_infinite"), ZIG)),
+    ("modulo", lambda: (Modulo(3), FromRho(Modulo(3), RhoConst(True)))),
+    ("table", lambda: (FibersOf(TableThenIdentity(_cycle_min_table(FIN))),
+                       FinitaryProduct(FIN.transpositions))),
+    ("one_infinite", _zigzag_cycles),
 ]
 
 
 @pytest.mark.parametrize("make", [m for _, m in SHARED], ids=[n for n, _ in SHARED])
 def test_dropping_a_normal_form_frees_its_relation(make):
     # without the cycle collector, only a node that points back at nothing
-    # is freed: the block state on the node holds ints, never a cache
+    # is freed: the block state on a relation node, and the orbit lists on
+    # a permutation node, hold ints, never a cache
     gc.disable()
     try:
         eq, f = make()
         fp = normalize(f, None, eq=eq)
+        orbits = OrbitCache(f)
         for x in range(30):
             perm_eval(fp, x)
             perm_eval_inv(fp, x)
+            orbits.value(x, 3)
+            orbits.value(x, -3)
         assert EqExpr._blocks is None and eq._blocks is not None
-        for part in eq._blocks:
+        assert PermExpr._orbit_lists is None and f._orbit_lists is not None
+        for part in eq._blocks + (f._orbit_lists,):
             items = part.items() if isinstance(part, dict) else enumerate(part)
             for k, v in items:
                 assert type(k) is int
-                assert type(v) is int or all(type(m) is int for m in v)
-        ref = weakref.ref(eq)
-        del eq, fp
-        assert ref() is None
+                assert type(v) is int or all(type(m) is int for m in v) or all(
+                    type(m) is int for walk in v for m in walk)
+        refs = [weakref.ref(eq), weakref.ref(f)]
+        del eq, fp, f, orbits
+        assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
 

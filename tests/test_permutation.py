@@ -68,6 +68,11 @@ def test_perm_power_both_directions():
     g = even_zigzag()
     assert perm_power(g, 0, 2) == 8
     assert perm_power(g, 0, -2) == 6
+    # all three refuse a point off the naturals, as they act on naturals only
+    for call in (lambda: perm_power(Identity(), -5, 3), lambda: perm_eval(g, -5),
+                 lambda: perm_eval_inv(g, -5)):
+        with pytest.raises(ValueError, match="naturals"):
+            call()
 
 
 def test_finitary_product_rightmost_first():

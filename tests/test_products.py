@@ -131,8 +131,11 @@ def test_cf_from_product_deciders():
     cf = pr.cf_from_product_deciders(g, _zig_witness(), uniform, 0)
     assert cf(3) and cf(7)
     assert not cf(0) and not cf(8)
+    assert cf(3, Fuel()) and not cf(8, Fuel())
     cf_all = pr.cf_from_product_deciders(Identity(), _zig_witness(), uniform, None)
     assert cf_all(123)
+    # every finiteness procedure takes an optional fuel, this one too
+    assert cf_all(3, Fuel())
 
 
 def test_a_cf_calling_an_infinite_cycle_finite_runs_out_of_fuel():
@@ -141,6 +144,25 @@ def test_a_cf_calling_an_infinite_cycle_finite_runs_out_of_fuel():
     _, cf = pr.transposition_times_cf(0, 3, g, cyc.decider_one_infinite(g), lambda x: True)
     with pytest.raises(FuelExhausted):
         cf(0, Fuel(1000))
+
+
+def test_a_second_product_over_one_base_walks_nothing():
+    # both sigma supports meet the 5-cycle (0 1 2 3 4) of the base, first
+    # at 0: the second product reads the cycle the first one walked
+    f = FinitaryProduct([(0, 1), (1, 2), (2, 3), (3, 4)])
+    steps = []
+    fwd = f.fwd
+    f.fwd = lambda x, fu: steps.append(x) or fwd(x, fu)
+    counts = []
+    for a in ([(0, 2)], [(0, 3)]):
+        expr, w, _ = pr.finitary_product(eta_encode(a), f, eta_encode([]),
+                                         cyc.decider_one_infinite(f), lambda x: True)
+        steps.clear()
+        answers = [w.payload(u, v) for u in range(8) for v in range(8)]
+        counts.append(len(steps))
+        truth = _truth_decider(expr)   # walks f itself
+        assert answers == [truth(u, v) for u in range(8) for v in range(8)]
+    assert counts[0] > 0 and counts[1] == 0
 
 
 def _budget_product():
